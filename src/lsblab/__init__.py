@@ -1,118 +1,28 @@
 """Spatial-domain ±1 steganography with co-occurrence-based evaluation."""
 
-from .bits import (
-    CapacityError,
-    FramingError,
-    bits_to_bytes,
-    bytes_to_bits,
-    frame_bits,
-    frame_message,
-    unframe_bits,
-    unframe_message,
-)
-from .embed import (
-    EmbedConfig,
-    MaskDecision,
-    Neighborhood,
-    choose_direction,
-    embed,
-    extract,
-    f_pair,
-    lsbm_embed,
-    lsbm_extract,
-    lsbm_improved_embed,
-    lsbmr_embed,
-    lsbmr_extract,
-    lsbmr_improved_embed,
-    neighborhood_at,
-)
-from .glcm import (
-    DEFAULT_OFFSETS,
-    NEIGHBOR_OFFSETS,
-    CooccurrenceMatrix,
-    band_features,
-    cooccurrence,
-    diagonal_energies,
-    energies_to_csv,
-    matrix_to_csv,
-)
-from .harness import (
-    ExperimentReport,
-    FeatureVector,
-    FisherDiscriminant,
-    ReportRow,
-    accuracy,
-    benchmark,
-    detection_experiment,
-    energy_experiment,
-    report_csv,
-    report_svg,
-    synthetic_corpus,
-    train_fld,
-)
-from .image import (
-    GrayImage,
-    PgmFormatError,
-    load_pgm,
-    read_pgm,
-    save_pgm,
-    traversal_order,
-    write_pgm,
-)
-from .rng import Rng, derive_seed
+from .bits import CapacityError, FramingError, bits_to_bytes, bytes_to_bits
+from .embed import EmbedConfig, embed, extract
+from .glcm import band_energies, band_features, cooccurrence
+from .harness import detection_experiment, synthetic_corpus
+from .image import GrayImage, PgmFormatError, load_pgm, save_pgm
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "CooccurrenceMatrix",
-    "DEFAULT_OFFSETS",
     "EmbedConfig",
-    "ExperimentReport",
-    "FeatureVector",
-    "FisherDiscriminant",
     "FramingError",
     "GrayImage",
-    "MaskDecision",
-    "NEIGHBOR_OFFSETS",
-    "Neighborhood",
     "PgmFormatError",
-    "ReportRow",
-    "Rng",
-    "accuracy",
+    "band_energies",
     "band_features",
-    "benchmark",
     "bits_to_bytes",
     "bytes_to_bits",
-    "choose_direction",
     "cooccurrence",
-    "derive_seed",
     "detection_experiment",
-    "diagonal_energies",
     "embed",
-    "energies_to_csv",
-    "energy_experiment",
     "extract",
-    "f_pair",
-    "frame_bits",
-    "frame_message",
     "load_pgm",
-    "lsbm_embed",
-    "lsbm_extract",
-    "lsbm_improved_embed",
-    "lsbmr_embed",
-    "lsbmr_extract",
-    "lsbmr_improved_embed",
-    "matrix_to_csv",
-    "neighborhood_at",
-    "read_pgm",
-    "report_csv",
-    "report_svg",
     "save_pgm",
     "synthetic_corpus",
-    "train_fld",
-    "traversal_order",
-    "unframe_bits",
-    "unframe_message",
-    "write_pgm",
 ]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 FRAME_BITS = 32
 MAX_PAYLOAD_BITS = (1 << FRAME_BITS) - 1
 
@@ -23,25 +25,14 @@ class FramingError(ValueError):
 
 def bytes_to_bits(data: bytes | bytearray) -> list[int]:
     """Unpack bytes into bits, MSB first within each byte."""
-    out = []
-    append = out.append
-    for byte in data:
-        for shift in (7, 6, 5, 4, 3, 2, 1, 0):
-            append((byte >> shift) & 1)
-    return out
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
 
 
 def bits_to_bytes(bits: Sequence[int]) -> bytes:
     """Pack bits (MSB first) back into bytes; inverse of bytes_to_bits."""
     if len(bits) % 8:
         raise ValueError(f"bit count {len(bits)} is not a whole number of bytes")
-    out = bytearray(len(bits) // 8)
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i : i + 8]:
-            byte = (byte << 1) | (b & 1)
-        out[i // 8] = byte
-    return bytes(out)
+    return np.packbits(np.asarray(bits, dtype=np.int64) & 1).tobytes()
 
 
 def frame_bits(payload_bits: Sequence[int]) -> list[int]:
@@ -54,34 +45,11 @@ def frame_bits(payload_bits: Sequence[int]) -> list[int]:
     return prefix + body
 
 
-def frame_message(payload: bytes | bytearray) -> list[int]:
-    """Frame a byte payload: 32-bit bit-count prefix, then MSB-first bits."""
-    return frame_bits(bytes_to_bits(payload))
-
-
 def frame_length(bits: Sequence[int]) -> int:
     """Read the payload bit count out of a stream's first 32 bits."""
     if len(bits) < FRAME_BITS:
         raise FramingError(f"stream of {len(bits)} bits is shorter than the 32-bit prefix")
     n = 0
     for b in bits[:FRAME_BITS]:
-        n = (n << 1) | (b & 1)
+        n = (n << 1) | (int(b) & 1)  # int(): a numpy uint8 bit would keep n uint8
     return n
-
-
-def unframe_bits(bits: Sequence[int]) -> list[int]:
-    """Strip the length frame and return exactly the declared payload bits."""
-    declared = frame_length(bits)
-    if declared > len(bits) - FRAME_BITS:
-        raise FramingError(
-            f"declared payload of {declared} bits exceeds the {len(bits) - FRAME_BITS} available"
-        )
-    return [b & 1 for b in bits[FRAME_BITS : FRAME_BITS + declared]]
-
-
-def unframe_message(bits: Sequence[int]) -> bytes:
-    """Unframe and repack to bytes; inverse of frame_message."""
-    payload = unframe_bits(bits)
-    if len(payload) % 8:
-        raise FramingError(f"declared payload of {len(payload)} bits is not a whole number of bytes")
-    return bits_to_bytes(payload)

@@ -8,7 +8,7 @@ import sys
 
 from .bits import CapacityError, FramingError, bits_to_bytes, bytes_to_bits
 from .embed import DEFAULT_THRESHOLD, EmbedConfig, embed, extract
-from .glcm import DEFAULT_OFFSETS, cooccurrence, diagonal_energies, energies_to_csv, matrix_to_csv
+from .glcm import DEFAULT_OFFSETS, band_energies, cooccurrence, energies_to_csv, matrix_to_csv
 from .harness import benchmark, report_csv, report_svg, synthetic_corpus
 from .image import PgmFormatError, load_pgm, save_pgm, write_pgm
 
@@ -40,6 +40,8 @@ def _parse_size(text: str) -> tuple[int, int]:
         w, h = (int(part) for part in text.lower().split("x"))
     except ValueError:
         raise ValueError(f"size must look like 'WxH', got {text!r}")
+    if w < 1 or h < 1:
+        raise ValueError(f"size must be positive, got {text!r}")
     return w, h
 
 
@@ -77,7 +79,7 @@ def _cmd_glcm(args: argparse.Namespace) -> int:
 
 def _cmd_features(args: argparse.Namespace) -> int:
     image = load_pgm(args.image)
-    rows = [(off, diagonal_energies(cooccurrence(image, off))) for off in DEFAULT_OFFSETS]
+    rows = [(off, band_energies(image, off)) for off in DEFAULT_OFFSETS]
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(energies_to_csv(rows))
     return 0

@@ -1,21 +1,19 @@
-"""±1 embedding schemes over grayscale covers, with matching extractors.
+"""±1 embedding codes over grayscale covers, with one extractor.
 
-Four methods share one config and framing contract:
+Two code families share one config and framing contract:
 
 - "lsbm": per-pixel ±1 matching. A pixel is left alone when its LSB already
-  equals the message bit, otherwise it is stepped up or down at random
-  (saturated pixels step inward).
+  equals the message bit, otherwise it is stepped up or down.
 - "lsbmr": pixel pairs carry two bits with at most one ±1 change per pair;
   the first bit is the first pixel's LSB, the second is the pair function
   f_pair of both values.
-- "lsbm_improved" / "lsbmr_improved": identical codes on the wire, but every
-  free up-or-down choice is resolved by choose_direction, which steps the
-  pixel toward its 3x3 neighbors instead of flipping a coin. Neighbors are
-  read from the live, partially embedded raster, so earlier-visited pixels
-  vote with their post-change values.
 
-Extraction never needs to know which ±1 rule was used: lsbm_extract and
-lsbmr_extract decode all variants of their family.
+Every free up-or-down choice goes through one rule, _step: saturated pixels
+step inward; otherwise the "_improved" variants ask neighbor_vote, which
+steps the pixel toward its 3x3 neighbors, and the baselines flip a coin.
+Neighbors are read from the live, partially embedded raster, so
+earlier-visited pixels vote with their post-change values. The variants
+write the same code, so extract decodes every method of a family.
 """
 
 from __future__ import annotations
@@ -62,82 +60,19 @@ class EmbedConfig:
             raise ValueError(f"traversal must be one of {TRAVERSALS}, got {self.traversal!r}")
 
 
-@dataclass
-class Neighborhood:
-    """A pixel and its in-bounds 3x3 neighbors (center excluded)."""
-
-    center: int
-    neighbors: tuple[int, ...]
-
-
-@dataclass
-class MaskDecision:
-    """Outcome of the neighborhood vote for one ±1 step."""
-
-    mask: tuple[bool, ...]  # per neighbor: |center - neighbor| < threshold
-    sad_minus: int  # sum of |.| differences to masked neighbors if stepping down
-    sad_plus: int  # same if stepping up
-    choice: str  # "minus" or "plus"
-    forced: bool  # True when the center is saturated at 0 or 255
-
-
-def f_pair(y1: int, y2: int) -> int:
-    """Binary pair function: LSB(floor(y1 / 2) + y2)."""
+def f_pair(y1, y2):
+    """Binary pair function: LSB(floor(y1 / 2) + y2); also works on uint8 arrays."""
     return ((y1 >> 1) + y2) & 1
 
 
-def choose_direction(neighborhood: Neighborhood, threshold: int, rng: Rng) -> MaskDecision:
-    """Pick the ±1 step that disturbs the local texture least.
+def neighbor_vote(flat: list, width: int, height: int, idx: int, threshold: int) -> tuple[int, int]:
+    """(sad_minus, sad_plus) for the pixel at flat index idx.
 
-    Neighbors strictly closer than `threshold` to the center vote; the step
-    with the smaller sum of absolute differences to the voters wins.
-    Saturated centers are forced outright; an empty vote or a tie falls
-    back to a fair coin, so the rule degrades to the plain random step
-    exactly where it has no information.
+    Only in-bounds 3x3 neighbors strictly closer than `threshold` to the
+    center vote; each sum adds the absolute differences between the voters
+    and the center after a -1 or a +1 step.
     """
-    c = neighborhood.center
-    nbs = neighborhood.neighbors
-    mask = tuple(abs(c - v) < threshold for v in nbs)
-    sad_minus = sum(abs(c - 1 - v) for v, m in zip(nbs, mask) if m)
-    sad_plus = sum(abs(c + 1 - v) for v, m in zip(nbs, mask) if m)
-    if c == 0:
-        return MaskDecision(mask, sad_minus, sad_plus, "plus", True)
-    if c == 255:
-        return MaskDecision(mask, sad_minus, sad_plus, "minus", True)
-    if sad_minus == sad_plus:  # covers the empty mask, where both sums are 0
-        choice = "plus" if rng.sign() > 0 else "minus"
-    else:
-        choice = "plus" if sad_plus < sad_minus else "minus"
-    return MaskDecision(mask, sad_minus, sad_plus, choice, False)
-
-
-def neighborhood_at(image: GrayImage, x: int, y: int) -> Neighborhood:
-    """The 3x3 neighborhood of (x, y), keeping only in-bounds neighbors."""
-    flat = image.pixels.ravel().tolist()
-    return Neighborhood(
-        center=flat[y * image.width + x],
-        neighbors=tuple(_neighbor_values(flat, image.width, image.height, x, y)),
-    )
-
-
-def _neighbor_values(flat: list, width: int, height: int, x: int, y: int) -> list[int]:
-    vals = []
-    for ny in (y - 1, y, y + 1):
-        if 0 <= ny < height:
-            row = ny * width
-            for nx in (x - 1, x, x + 1):
-                if (nx != x or ny != y) and 0 <= nx < width:
-                    vals.append(flat[row + nx])
-    return vals
-
-
-def _guided_sign(flat: list, width: int, height: int, idx: int, threshold: int, rng: Rng) -> int:
-    """choose_direction on the live raster, reduced to a ±1 step (hot path)."""
     c = flat[idx]
-    if c == 0:
-        return 1
-    if c == 255:
-        return -1
     x = idx % width
     y = idx // width
     sad_minus = 0
@@ -151,9 +86,28 @@ def _guided_sign(flat: list, width: int, height: int, idx: int, threshold: int, 
                     if -threshold < d < threshold:
                         sad_minus += abs(d - 1)
                         sad_plus += abs(d + 1)
-    if sad_minus == sad_plus:
-        return rng.sign()
-    return 1 if sad_plus < sad_minus else -1
+    return sad_minus, sad_plus
+
+
+def _step(flat: list, width: int, height: int, idx: int, threshold: int, guided: bool,
+          rng: Rng) -> int:
+    """The ±1 step for a free choice at idx.
+
+    Saturated pixels step inward. The guided rule takes the step with the
+    smaller vote sum; an empty mask (both sums 0) or a tie falls back to a
+    fair coin, so it degrades to the plain random step exactly where it has
+    no information.
+    """
+    c = flat[idx]
+    if c == 0:
+        return 1
+    if c == 255:
+        return -1
+    if guided:
+        sad_minus, sad_plus = neighbor_vote(flat, width, height, idx, threshold)
+        if sad_minus != sad_plus:
+            return 1 if sad_plus < sad_minus else -1
+    return rng.sign()
 
 
 def rate_capacity(rate: float, n_pixels: int) -> int:
@@ -161,7 +115,10 @@ def rate_capacity(rate: float, n_pixels: int) -> int:
     return math.floor(rate * n_pixels + 1e-9)
 
 
-def _prepare(cover: GrayImage, message: Sequence[int], config: EmbedConfig, pairwise: bool):
+def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> GrayImage:
+    """Embed message bits with the method named in the config."""
+    pairwise = config.method.startswith("lsbmr")
+    guided = config.method.endswith("_improved")
     framed = frame_bits(message)
     n = cover.n_pixels
     structural = 2 * (n // 2) if pairwise else n
@@ -172,108 +129,26 @@ def _prepare(cover: GrayImage, message: Sequence[int], config: EmbedConfig, pair
             f"({cover.width}x{cover.height} cover at rate {config.rate:g})"
         )
     order = traversal_order(cover, config.traversal, Rng(config.seed))
-    return framed, order
-
-
-def _finish(flat: list, cover: GrayImage) -> GrayImage:
-    return GrayImage(np.asarray(flat, dtype=np.uint8).reshape(cover.height, cover.width))
-
-
-def _expect(config: EmbedConfig, method: str) -> None:
-    if config.method != method:
-        raise ValueError(f"config.method is {config.method!r}, expected {method!r}")
-
-
-# ---------------------------------------------------------------------------
-# per-pixel ±1 matching
-
-
-def _lsbm_embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig,
-                rng: Rng | None, guided: bool) -> GrayImage:
-    rng = rng if rng is not None else Rng(config.seed)
-    framed, order = _prepare(cover, message, config, pairwise=False)
-    w, h = cover.width, cover.height
-    threshold = config.threshold
+    rng = Rng(config.seed)
+    w, h, t = cover.width, cover.height, config.threshold
     flat = cover.pixels.ravel().tolist()
-    for k, bit in enumerate(framed):
-        idx = order[k]
-        v = flat[idx]
-        if bit == (v & 1):
-            continue
-        if v == 0:
-            flat[idx] = 1
-        elif v == 255:
-            flat[idx] = 254
-        elif guided:
-            flat[idx] = v + _guided_sign(flat, w, h, idx, threshold, rng)
-        else:
-            flat[idx] = v + rng.sign()
-    return _finish(flat, cover)
-
-
-def lsbm_embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig,
-               rng: Rng | None = None) -> GrayImage:
-    """Embed message bits into pixel LSBs by random ±1 matching."""
-    _expect(config, "lsbm")
-    return _lsbm_embed(cover, message, config, rng, guided=False)
-
-
-def lsbm_improved_embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig,
-                        rng: Rng | None = None) -> GrayImage:
-    """±1 matching with every free step direction chosen by choose_direction."""
-    _expect(config, "lsbm_improved")
-    return _lsbm_embed(cover, message, config, rng, guided=True)
-
-
-def lsbm_extract(stego: GrayImage, config: EmbedConfig) -> list[int]:
-    """Read back the payload from pixel LSBs under the shared seed/traversal."""
-    order = traversal_order(stego, config.traversal, Rng(config.seed))
-    flat = stego.pixels.ravel()
-    n = stego.n_pixels
-    if n < FRAME_BITS:
-        raise FramingError(f"carrier of {n} pixels cannot hold the 32-bit prefix")
-    head = [int(flat[order[k]]) & 1 for k in range(FRAME_BITS)]
-    declared = frame_length(head)
-    if FRAME_BITS + declared > n:
-        raise FramingError(f"declared payload of {declared} bits exceeds the {n - FRAME_BITS} available")
-    return [int(flat[order[k]]) & 1 for k in range(FRAME_BITS, FRAME_BITS + declared)]
-
-
-# ---------------------------------------------------------------------------
-# pixel-pair coding
-
-
-def _y2_step(flat: list, w: int, h: int, idx: int, y2: int, threshold: int,
-             rng: Rng, guided: bool) -> int:
-    if y2 == 0:
-        return 1
-    if y2 == 255:
-        return -1
-    if guided:
-        return _guided_sign(flat, w, h, idx, threshold, rng)
-    return rng.sign()
-
-
-def _lsbmr_embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig,
-                 rng: Rng | None, guided: bool) -> GrayImage:
-    rng = rng if rng is not None else Rng(config.seed)
-    framed, order = _prepare(cover, message, config, pairwise=True)
-    if len(framed) & 1:
-        framed.append(0)  # pad to a whole pair; the frame length ignores it
-    w, h = cover.width, cover.height
-    threshold = config.threshold
-    flat = cover.pixels.ravel().tolist()
-    for k in range(0, len(framed), 2):
-        s1, s2 = framed[k], framed[k + 1]
-        i1, i2 = order[k], order[k + 1]
-        y1, y2 = flat[i1], flat[i2]
-        if s1 == (y1 & 1):
-            if s2 != f_pair(y1, y2):
-                # free branch: either y2 step re-encodes s2
-                flat[i2] = y2 + _y2_step(flat, w, h, i2, y2, threshold, rng, guided)
-        else:
-            # step y1 toward whichever candidate makes the pair function match
-            if y1 > 0 and f_pair(y1 - 1, y2) == s2:
+    if not pairwise:
+        for idx, bit in zip(order, framed):
+            v = flat[idx]
+            if bit != (v & 1):
+                flat[idx] = v + _step(flat, w, h, idx, t, guided, rng)
+    else:
+        if len(framed) & 1:
+            framed.append(0)  # pad to a whole pair; the frame length ignores it
+        pixels, bits = iter(order), iter(framed)  # zip(it, it) takes items two at a time
+        for i1, i2, s1, s2 in zip(pixels, pixels, bits, bits):
+            y1, y2 = flat[i1], flat[i2]
+            if s1 == (y1 & 1):
+                if s2 != f_pair(y1, y2):
+                    # free branch: either y2 step re-encodes s2
+                    flat[i2] = y2 + _step(flat, w, h, i2, t, guided, rng)
+            # s1 needs a y1 step: take the candidate whose pair function matches s2
+            elif y1 > 0 and f_pair(y1 - 1, y2) == s2:
                 flat[i1] = y1 - 1
             elif y1 < 255 and f_pair(y1 + 1, y2) == s2:
                 flat[i1] = y1 + 1
@@ -281,70 +156,32 @@ def _lsbmr_embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig,
                 # saturated y1 whose required candidate is out of range: step
                 # inward (flipping the pair function) and step y2 to flip it back
                 flat[i1] = 1 if y1 == 0 else 254
-                flat[i2] = y2 + _y2_step(flat, w, h, i2, y2, threshold, rng, guided)
-    return _finish(flat, cover)
-
-
-def lsbmr_embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig,
-                rng: Rng | None = None) -> GrayImage:
-    """Embed two bits per pixel pair with at most one ±1 change per pair."""
-    _expect(config, "lsbmr")
-    return _lsbmr_embed(cover, message, config, rng, guided=False)
-
-
-def lsbmr_improved_embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig,
-                         rng: Rng | None = None) -> GrayImage:
-    """Pair coding with the free-branch y2 direction from choose_direction."""
-    _expect(config, "lsbmr_improved")
-    return _lsbmr_embed(cover, message, config, rng, guided=True)
-
-
-def lsbmr_extract(stego: GrayImage, config: EmbedConfig) -> list[int]:
-    """Per pair, emit LSB(y1) and f_pair(y1, y2); then strip the frame."""
-    order = traversal_order(stego, config.traversal, Rng(config.seed))
-    flat = stego.pixels.ravel()
-    n_pairs = stego.n_pixels // 2
-    if 2 * n_pairs < FRAME_BITS:
-        raise FramingError(f"carrier of {stego.n_pixels} pixels cannot hold the 32-bit prefix")
-
-    def pair_bits(k: int) -> tuple[int, int]:
-        y1 = int(flat[order[2 * k]])
-        y2 = int(flat[order[2 * k + 1]])
-        return y1 & 1, f_pair(y1, y2)
-
-    head: list[int] = []
-    for k in range(FRAME_BITS // 2):
-        head.extend(pair_bits(k))
-    declared = frame_length(head)
-    if FRAME_BITS + declared > 2 * n_pairs:
-        raise FramingError(
-            f"declared payload of {declared} bits exceeds the {2 * n_pairs - FRAME_BITS} available"
-        )
-    total = FRAME_BITS + declared
-    for k in range(FRAME_BITS // 2, (total + 1) // 2):
-        head.extend(pair_bits(k))
-    return head[FRAME_BITS:total]
-
-
-# ---------------------------------------------------------------------------
-# method dispatch
-
-_EMBEDDERS = {
-    "lsbm": lsbm_embed,
-    "lsbmr": lsbmr_embed,
-    "lsbm_improved": lsbm_improved_embed,
-    "lsbmr_improved": lsbmr_improved_embed,
-}
-
-
-def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig,
-          rng: Rng | None = None) -> GrayImage:
-    """Embed with the method named in the config."""
-    return _EMBEDDERS[config.method](cover, message, config, rng)
+                flat[i2] = y2 + _step(flat, w, h, i2, t, guided, rng)
+    return GrayImage(np.asarray(flat, dtype=np.uint8).reshape(cover.height, cover.width))
 
 
 def extract(stego: GrayImage, config: EmbedConfig) -> list[int]:
-    """Extract with the family matching the config's method."""
-    if config.method in ("lsbm", "lsbm_improved"):
-        return lsbm_extract(stego, config)
-    return lsbmr_extract(stego, config)
+    """Read back the payload under the shared seed and traversal.
+
+    lsbm reads each visited pixel's LSB; lsbmr reads LSB(y1) and
+    f_pair(y1, y2) per visited pair. The 32-bit frame then says how many
+    payload bits follow.
+    """
+    order = traversal_order(stego, config.traversal, Rng(config.seed))
+    values = stego.pixels.ravel()[order]
+    if config.method.startswith("lsbmr"):
+        m = len(values) // 2
+        y1, y2 = values[0 : 2 * m : 2], values[1 : 2 * m : 2]
+        bits = np.empty(2 * m, dtype=np.uint8)
+        bits[0::2] = y1 & 1
+        bits[1::2] = f_pair(y1, y2)
+    else:
+        bits = values & 1
+    if len(bits) < FRAME_BITS:
+        raise FramingError(f"carrier of {stego.n_pixels} pixels cannot hold the 32-bit prefix")
+    declared = frame_length(bits[:FRAME_BITS])
+    if FRAME_BITS + declared > len(bits):
+        raise FramingError(
+            f"declared payload of {declared} bits exceeds the {len(bits) - FRAME_BITS} available"
+        )
+    return bits[FRAME_BITS : FRAME_BITS + declared].tolist()

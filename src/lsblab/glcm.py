@@ -4,7 +4,8 @@ A co-occurrence matrix for a displacement (dx, dy) counts, over all pixel
 positions where both ends fall inside the image, how often gray level i
 sits at (x, y) while gray level j sits at (x+dx, y+dy). Natural images
 concentrate these counts on and near the main diagonal; the band-energy
-features below measure that concentration.
+features below measure that concentration. They only need the band sums,
+so they count a clipped |a - b| histogram and never build the matrix.
 """
 
 from __future__ import annotations
@@ -41,29 +42,40 @@ class CooccurrenceMatrix:
         return int(self.counts.sum())
 
 
-def _validate_offset(offset: Offset) -> None:
+def _pairs(image: GrayImage, offset: Offset) -> tuple[np.ndarray, np.ndarray]:
+    """The two ends of every in-bounds pixel pair at the displacement.
+
+    There is no wraparound or padding at the borders.
+    """
     dx, dy = offset
     if dx == 0 and dy == 0:
         raise ValueError("offset (0, 0) pairs every pixel with itself")
-
-
-def cooccurrence(image: GrayImage, offset: Offset) -> CooccurrenceMatrix:
-    """Count gray-level pairs at the given displacement.
-
-    Only positions where both pixels are in bounds contribute; there is no
-    wraparound or padding at the borders.
-    """
-    _validate_offset(offset)
-    dx, dy = offset
     h, w = image.pixels.shape
     a = image.pixels[max(0, -dy) : h - max(0, dy), max(0, -dx) : w - max(0, dx)]
     b = image.pixels[max(0, dy) : h - max(0, -dy), max(0, dx) : w - max(0, -dx)]
+    return a, b
+
+
+def cooccurrence(image: GrayImage, offset: Offset) -> CooccurrenceMatrix:
+    """Count gray-level pairs at the given displacement (as `lsblab glcm` writes)."""
+    a, b = _pairs(image, offset)
+    codes = a.astype(np.int32).ravel() * 256 + b.astype(np.int32).ravel()
+    counts = np.bincount(codes, minlength=256 * 256).astype(np.int64).reshape(256, 256)
+    return CooccurrenceMatrix(offset=tuple(offset), counts=counts)
+
+
+def band_energies(image: GrayImage, offset: Offset) -> np.ndarray:
+    """Fraction of in-bounds pixel pairs with |a - b| = k, for k = 0..4.
+
+    Counts a clipped |a - b| histogram, so no 256x256 matrix is built; the
+    result equals diagonal_energies(cooccurrence(image, offset)) bit for bit.
+    """
+    a, b = _pairs(image, offset)
     if a.size == 0:
-        counts = np.zeros((256, 256), dtype=np.int64)
-    else:
-        codes = a.astype(np.int32).ravel() * 256 + b.astype(np.int32).ravel()
-        counts = np.bincount(codes, minlength=256 * 256).astype(np.int64).reshape(256, 256)
-    return CooccurrenceMatrix(offset=(dx, dy), counts=counts)
+        raise ValueError("empty co-occurrence matrix: no in-bounds pixel pairs")
+    diff = np.abs(a.astype(np.int16) - b.astype(np.int16))
+    counts = np.bincount(np.minimum(diff, N_BANDS).ravel(), minlength=N_BANDS + 1)
+    return counts[:N_BANDS] / a.size
 
 
 def diagonal_energies(matrix: CooccurrenceMatrix) -> np.ndarray:
@@ -88,8 +100,7 @@ def band_features(image: GrayImage, offsets: Sequence[Offset] = DEFAULT_OFFSETS)
         raise ValueError("offset set must be non-empty")
     if len(set(offsets)) != len(offsets):
         raise ValueError(f"offset set contains duplicates: {offsets}")
-    parts = [diagonal_energies(cooccurrence(image, off)) for off in offsets]
-    return np.concatenate(parts)
+    return np.concatenate([band_energies(image, off) for off in offsets])
 
 
 def matrix_to_csv(matrix: CooccurrenceMatrix) -> str:

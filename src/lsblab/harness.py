@@ -29,43 +29,33 @@ _TAG_SPLIT = 2
 
 
 @dataclass
-class FeatureVector:
-    """Band-energy features of one image with its class label (0 cover, 1 stego)."""
-
-    values: np.ndarray
-    label: int
-
-
-@dataclass
 class FisherDiscriminant:
-    """Linear detector: score = w . x, stego when the score exceeds the bias."""
+    """Linear detector: score = x . w, stego when the score exceeds the bias."""
 
     weights: np.ndarray
     bias: float
 
-    def score(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
-
-    def predict(self, values: np.ndarray) -> int:
-        return int(self.score(values) > self.bias)
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Labels (0 cover, 1 stego) for the rows of x."""
+        return (np.asarray(x, dtype=np.float64) @ self.weights > self.bias).astype(int)
 
 
-def train_fld(features: Sequence[FeatureVector]) -> FisherDiscriminant:
-    """Fit a Fisher linear discriminant to labeled feature vectors.
+def train_fld(x: np.ndarray, y: np.ndarray) -> FisherDiscriminant:
+    """Fit a Fisher linear discriminant to feature rows x with labels y.
 
     weights solve S_w w = (mean_stego - mean_cover) with S_w the pooled
     within-class scatter; the bias is the projected midpoint of the class
     means. A singular scatter is regularized by eps * I with
     eps = 1e-6 * trace / dim.
     """
-    labels = np.array([f.label for f in features])
-    if not (np.any(labels == 0) and np.any(labels == 1)):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    if not (np.any(y == 0) and np.any(y == 1)):
         raise ValueError("training requires examples of both classes (cover and stego)")
-    x = np.stack([np.asarray(f.values, dtype=np.float64) for f in features])
-    mu0 = x[labels == 0].mean(axis=0)
-    mu1 = x[labels == 1].mean(axis=0)
-    c0 = x[labels == 0] - mu0
-    c1 = x[labels == 1] - mu1
+    mu0 = x[y == 0].mean(axis=0)
+    mu1 = x[y == 1].mean(axis=0)
+    c0 = x[y == 0] - mu0
+    c1 = x[y == 1] - mu1
     scatter = c0.T @ c0 + c1.T @ c1
     diff = mu1 - mu0
     try:
@@ -80,10 +70,9 @@ def train_fld(features: Sequence[FeatureVector]) -> FisherDiscriminant:
     return FisherDiscriminant(weights=weights, bias=bias)
 
 
-def accuracy(model: FisherDiscriminant, features: Sequence[FeatureVector]) -> float:
-    """Percent of feature vectors the model labels correctly."""
-    correct = sum(model.predict(f.values) == f.label for f in features)
-    return 100.0 * correct / len(features)
+def accuracy(model: FisherDiscriminant, x: np.ndarray, y: np.ndarray) -> float:
+    """Percent of feature rows the model labels correctly."""
+    return 100.0 * np.count_nonzero(model.predict(x) == np.asarray(y)) / len(y)
 
 
 # ---------------------------------------------------------------------------
@@ -111,23 +100,24 @@ def _embed_for_experiment(image: GrayImage, method: str | None, rate: float,
     return embed(image, bits, config)
 
 
-def _cell_features(corpus: Sequence[GrayImage], method: str | None, rate: float,
-                   threshold: int, seed: int, offsets: Sequence[Offset],
-                   traversal: str = "permuted") -> tuple[list[np.ndarray], list[np.ndarray]]:
-    if len(corpus) == 0:
+def _features(images: Sequence[GrayImage], offsets: Sequence[Offset]) -> np.ndarray:
+    """One band-feature row per image."""
+    if len(images) == 0:
         raise ValueError("corpus must be non-empty")
-    cover_feats = []
-    stego_feats = []
-    for i, image in enumerate(corpus):
-        stego = _embed_for_experiment(image, method, rate, threshold, i, seed, traversal)
-        cover_feats.append(band_features(image, offsets))
-        stego_feats.append(band_features(stego, offsets))
-    return cover_feats, stego_feats
+    return np.stack([band_features(image, offsets) for image in images])
 
 
-def _mean_energies(feats: np.ndarray) -> np.ndarray:
-    # a feature vector is len(offsets) blocks of 5 band energies
-    return feats.reshape(-1, N_BANDS).mean(axis=0)
+def _stego_features(corpus: Sequence[GrayImage], method: str | None, rate: float,
+                    threshold: int, seed: int, offsets: Sequence[Offset],
+                    traversal: str) -> np.ndarray:
+    """Feature rows of one cell's stego images, in corpus order."""
+    return _features([_embed_for_experiment(image, method, rate, threshold, i, seed, traversal)
+                      for i, image in enumerate(corpus)], offsets)
+
+
+def _mean_energies(x: np.ndarray) -> np.ndarray:
+    # a feature row is len(offsets) blocks of 5 band energies; average the blocks
+    return x.reshape(len(x), -1, N_BANDS).mean(axis=1)
 
 
 def energy_experiment(corpus: Sequence[GrayImage], method: str | None, rate: float,
@@ -141,28 +131,22 @@ def energy_experiment(corpus: Sequence[GrayImage], method: str | None, rate: flo
     methods at one rate see the same messages. Payloads are scattered with
     a per-image keyed permutation, the usual operating posture.
     """
-    cover_feats, stego_feats = _cell_features(corpus, method, rate, threshold, seed,
-                                              offsets, traversal)
-    return [(_mean_energies(c), _mean_energies(s)) for c, s in zip(cover_feats, stego_feats)]
+    cover_x = _features(corpus, offsets)
+    stego_x = _stego_features(corpus, method, rate, threshold, seed, offsets, traversal)
+    return list(zip(_mean_energies(cover_x), _mean_energies(stego_x)))
 
 
-def _split_accuracy(cover_feats: list[np.ndarray], stego_feats: list[np.ndarray],
-                    seed: int, split: float) -> float:
-    n = len(cover_feats)
+def _split_accuracy(cover_x: np.ndarray, stego_x: np.ndarray, seed: int, split: float) -> float:
+    n = len(cover_x)
     indices = list(range(n))
     Rng(derive_seed(seed, _TAG_SPLIT)).shuffle(indices)
     n_train = min(max(int(round(split * n)), 1), n - 1)
-    train_idx, test_idx = indices[:n_train], indices[n_train:]
 
-    def as_features(idx: list[int]) -> list[FeatureVector]:
-        out = []
-        for i in idx:
-            out.append(FeatureVector(cover_feats[i], 0))
-            out.append(FeatureVector(stego_feats[i], 1))
-        return out
+    def labelled(idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        return np.concatenate([cover_x[idx], stego_x[idx]]), np.repeat([0, 1], len(idx))
 
-    model = train_fld(as_features(train_idx))
-    return accuracy(model, as_features(test_idx))
+    model = train_fld(*labelled(indices[:n_train]))
+    return accuracy(model, *labelled(indices[n_train:]))
 
 
 def detection_experiment(corpus: Sequence[GrayImage], method: str | None, rate: float,
@@ -178,9 +162,9 @@ def detection_experiment(corpus: Sequence[GrayImage], method: str | None, rate: 
         raise ValueError(f"corpus of {len(corpus)} images is too small; need at least 20")
     if not 0.0 < split < 1.0:
         raise ValueError(f"split must be in (0, 1), got {split}")
-    cover_feats, stego_feats = _cell_features(corpus, method, rate, threshold, seed,
-                                              offsets, traversal)
-    return _split_accuracy(cover_feats, stego_feats, seed, split)
+    cover_x = _features(corpus, offsets)
+    stego_x = _stego_features(corpus, method, rate, threshold, seed, offsets, traversal)
+    return _split_accuracy(cover_x, stego_x, seed, split)
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +198,21 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str], rates: Sequen
               threshold: int = 4, seed: int = 0, split: float = 0.5,
               offsets: Sequence[Offset] = DEFAULT_OFFSETS,
               traversal: str = "permuted") -> ExperimentReport:
-    """One report row per method x rate: mean energies plus detection rate."""
+    """One report row per method x rate: mean energies plus detection rate.
+
+    Cover features do not depend on the cell, so they are computed once.
+    """
     if len(corpus) < 20:
         raise ValueError(f"corpus of {len(corpus)} images is too small; need at least 20")
+    cover_x = _features(corpus, offsets)
+    cover_e = _mean_energies(cover_x).mean(axis=0)
     report = ExperimentReport()
     for method in methods:
         for rate in rates:
-            cover_feats, stego_feats = _cell_features(corpus, method, rate, threshold, seed,
-                                                      offsets, traversal)
-            cover_e = np.stack([_mean_energies(f) for f in cover_feats]).mean(axis=0)
-            stego_e = np.stack([_mean_energies(f) for f in stego_feats]).mean(axis=0)
-            detect = _split_accuracy(cover_feats, stego_feats, seed, split)
-            report.rows.append(ReportRow(method, rate, threshold, seed, len(corpus),
-                                         cover_e, stego_e, detect))
+            stego_x = _stego_features(corpus, method, rate, threshold, seed, offsets, traversal)
+            detect = _split_accuracy(cover_x, stego_x, seed, split)
+            report.rows.append(ReportRow(method, rate, threshold, seed, len(corpus), cover_e,
+                                         _mean_energies(stego_x).mean(axis=0), detect))
     return report
 
 

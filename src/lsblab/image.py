@@ -54,9 +54,6 @@ class GrayImage:
     def n_pixels(self) -> int:
         return self.pixels.size
 
-    def copy(self) -> "GrayImage":
-        return GrayImage(self.pixels.copy())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GrayImage):
             return NotImplemented

@@ -8,7 +8,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class Rng:
-    """Fair coin flips and uniform index draws from one 64-bit seed.
+    """Fair signs, bits and shuffles from one 64-bit seed.
 
     Backed by the stdlib Mersenne Twister, whose output for a fixed seed
     is documented to be reproducible across runs, platforms and Python
@@ -20,17 +20,9 @@ class Rng:
         self.seed = seed & _MASK64
         self._rng = random.Random(self.seed)
 
-    def coin(self) -> int:
-        """A fair bit: 0 or 1 with equal probability."""
-        return self._rng.getrandbits(1)
-
     def sign(self) -> int:
         """A fair +1 / -1 step."""
         return 1 if self._rng.getrandbits(1) else -1
-
-    def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return self._rng.randrange(n)
 
     def bits(self, n: int) -> list[int]:
         """n independent fair bits."""

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lsblab.bits import FRAME_BITS
-from lsblab.embed import EmbedConfig, Neighborhood, choose_direction, embed, extract, rate_capacity
+from lsblab.embed import EmbedConfig, _step, embed, extract, neighbor_vote, rate_capacity
 from lsblab.glcm import NEIGHBOR_OFFSETS, cooccurrence
 from lsblab.harness import detection_experiment, energy_experiment, synthetic_corpus
 from lsblab.image import GrayImage
@@ -139,12 +139,13 @@ def test_glcm_brute_force_oracle():
 
 
 def test_direction_choice_worked_example():
-    with criterion("direction choice example: sad_minus 14, sad_plus 8, choice plus"):
-        nb = Neighborhood(100, (100, 101, 102, 100, 103, 99, 100, 101))
-        d = choose_direction(nb, 4, Rng(0))
-        assert d.sad_minus == 14
-        assert d.sad_plus == 8
-        assert d.choice == "plus"
+    with criterion("direction choice example: sad_minus 14, sad_plus 8, step +1"):
+        # 3x3 block [[100,101,102],[100,100,103],[99,100,101]], center idx 4, T=4
+        block = [100, 101, 102, 100, 100, 103, 99, 100, 101]
+        sad_minus, sad_plus = neighbor_vote(block, 3, 3, 4, 4)
+        assert sad_minus == 14
+        assert sad_plus == 8
+        assert _step(block, 3, 3, 4, 4, True, Rng(0)) == 1
 
 
 def test_energy_trend():

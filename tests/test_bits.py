@@ -1,32 +1,48 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from lsblab.bits import (
+    FRAME_BITS,
     CapacityError,
     FramingError,
     bits_to_bytes,
     bytes_to_bits,
     frame_bits,
-    frame_message,
-    unframe_bits,
-    unframe_message,
+    frame_length,
 )
+from lsblab.embed import EmbedConfig, extract
+from lsblab.image import GrayImage
+
+
+def framed_payload(bits):
+    """Read a framed stream back: the declared count, then exactly that many bits."""
+    n = frame_length(bits)
+    return bits[FRAME_BITS : FRAME_BITS + n]
 
 
 def test_bytes_to_bits_msb_first():
     assert bytes_to_bits(b"\xa5") == [1, 0, 1, 0, 0, 1, 0, 1]
     assert bytes_to_bits(b"\x80\x01") == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
+    assert bits_to_bytes([3, 0, 1, 2, 0, 1, 0, 1]) == b"\xa5"  # only each LSB counts
 
 
 def test_frame_single_byte():
-    framed = frame_message(b"\xa5")
+    framed = frame_bits(bytes_to_bits(b"\xa5"))
     # 32-bit big-endian count of 8, then the payload bits
     assert framed[:32] == [0] * 28 + [1, 0, 0, 0]
     assert framed[32:] == [1, 0, 1, 0, 0, 1, 0, 1]
 
 
 def test_frame_empty_payload():
-    assert frame_message(b"") == [0] * 32
+    assert frame_bits(bytes_to_bits(b"")) == [0] * 32
+
+
+def test_frame_length_reads_uint8_arrays():
+    # extract hands frame_length a uint8 array; counts past 255 must not wrap
+    for n in (8, 256, 70_000):
+        prefix = frame_bits([0] * n)[:FRAME_BITS]
+        assert frame_length(np.array(prefix, dtype=np.uint8)) == n
 
 
 def test_bits_to_bytes_rejects_ragged():
@@ -35,14 +51,17 @@ def test_bits_to_bytes_rejects_ragged():
 
 
 def test_unframe_rejects_overdeclared_length():
-    framed = frame_message(b"\xff")
+    # a stream truncated below its declared 8 bits, read by the extractor
+    framed = frame_bits(bytes_to_bits(b"\xff"))[:-2]
+    stego = GrayImage(np.array([framed], dtype=np.uint8))
+    assert frame_length(framed) == 8
     with pytest.raises(FramingError):
-        unframe_bits(framed[:-2])  # truncated below the declared 8 bits
+        extract(stego, EmbedConfig(method="lsbm"))
 
 
 def test_unframe_rejects_short_prefix():
     with pytest.raises(FramingError):
-        unframe_bits([0] * 31)
+        frame_length([0] * 31)
 
 
 def test_frame_capacity_guard():
@@ -56,14 +75,14 @@ def test_frame_capacity_guard():
 
 @given(st.binary(max_size=200))
 def test_frame_roundtrip_bytes(payload):
-    assert unframe_message(frame_message(payload)) == payload
+    assert bits_to_bytes(framed_payload(frame_bits(bytes_to_bits(payload)))) == payload
 
 
 @given(st.lists(st.integers(0, 1), max_size=300))
 def test_frame_roundtrip_bits(bits):
-    assert unframe_bits(frame_bits(bits)) == bits
+    assert framed_payload(frame_bits(bits)) == bits
 
 
 @given(st.lists(st.integers(0, 1), max_size=300))
 def test_trailing_bits_ignored(bits):
-    assert unframe_bits(frame_bits(bits) + [1, 1, 0]) == bits
+    assert framed_payload(frame_bits(bits) + [1, 1, 0]) == bits

@@ -128,3 +128,12 @@ def test_gen_corpus_is_deterministic(tmp_path):
         assert run("gen-corpus", "--n", 3, "--size", "16x16", "--seed", 9, "--out", out) == 0
     for f1, f2 in zip(sorted(c1.glob("*.pgm")), sorted(c2.glob("*.pgm"))):
         assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("size", ["0x5", "5x0"])
+def test_gen_corpus_rejects_non_positive_size(tmp_path, capsys, recwarn, size):
+    assert run("gen-corpus", "--n", 2, "--size", size, "--seed", 1,
+               "--out", tmp_path / "corpus") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(recwarn) == 0

@@ -1,39 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsblab.bits import CapacityError, FramingError
-from lsblab.embed import (
-    EmbedConfig,
-    Neighborhood,
-    _guided_sign,
-    choose_direction,
-    embed,
-    extract,
-    f_pair,
-    lsbm_embed,
-    lsbm_extract,
-    lsbm_improved_embed,
-    lsbmr_embed,
-    lsbmr_extract,
-    lsbmr_improved_embed,
-    neighborhood_at,
-)
+from lsblab.embed import EmbedConfig, _step, embed, extract, f_pair, neighbor_vote
 from lsblab.image import GrayImage
 from lsblab.rng import Rng
-
-
-class ScriptedRng:
-    """Stand-in rng with a fixed ±1 script, for pinning free-branch outcomes."""
-
-    def __init__(self, signs):
-        self._signs = list(signs)
-
-    def sign(self):
-        return self._signs.pop(0)
-
-    def coin(self):
-        return 1 if self.sign() > 0 else 0
 
 
 def flat_image(values, width=8):
@@ -58,12 +32,6 @@ def test_config_validation():
         EmbedConfig(method="lsbm", traversal="spiral")
 
 
-def test_embedders_check_method():
-    cover = GrayImage(np.zeros((8, 8), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        lsbm_embed(cover, [1], EmbedConfig(method="lsbmr"))
-
-
 # ---------------------------------------------------------------------------
 # pair function
 
@@ -75,65 +43,52 @@ def test_f_pair_values():
     assert f_pair(3, 7) == 0
 
 
-def test_f_pair_flips_with_y2_step():
+def test_f_pair_flips_when_y2_steps():
     for y1 in range(256):
         for y2 in (1, 100, 254):
             assert f_pair(y1, y2 + 1) != f_pair(y1, y2)
             assert f_pair(y1, y2 - 1) != f_pair(y1, y2)
 
 
+def test_f_pair_on_uint8_arrays_matches_scalar():
+    # extract applies f_pair to uint8 arrays, where (y1 >> 1) + y2 wraps at 256
+    y1, y2 = (a.astype(np.uint8) for a in np.indices((256, 256)))
+    expected = [[f_pair(a, b) for b in range(256)] for a in range(256)]
+    assert f_pair(y1, y2).tolist() == expected
+
+
 # ---------------------------------------------------------------------------
-# direction choice
-
-
-def test_choose_direction_worked_example():
-    # 3x3 block [[100,101,102],[100,.,103],[99,100,101]], center 100, T=4
-    nb = Neighborhood(100, (100, 101, 102, 100, 103, 99, 100, 101))
-    d = choose_direction(nb, 4, Rng(0))
-    assert d.mask == (True,) * 8
-    assert d.sad_minus == 14
-    assert d.sad_plus == 8
-    assert d.choice == "plus"
-    assert not d.forced
+# direction choice (the worked example on a flat 3x3 block is
+# test_acceptance.py::test_direction_choice_worked_example)
 
 
 def test_mask_is_strict_inequality():
-    d = choose_direction(Neighborhood(100, (120,)), 4, Rng(0))
-    assert d.mask == (False,)
-    d = choose_direction(Neighborhood(100, (104, 103)), 4, Rng(0))
-    assert d.mask == (False, True)
+    assert neighbor_vote([100, 120], 2, 1, 0, 4) == (0, 0)
+    # 104 sits exactly at the threshold and does not vote; only 103 does
+    assert neighbor_vote([104, 100, 103], 3, 1, 1, 4) == (4, 2)
 
 
 def test_saturated_centers_are_forced():
-    d0 = choose_direction(Neighborhood(0, (10, 20)), 4, Rng(0))
-    assert d0.choice == "plus" and d0.forced
-    d255 = choose_direction(Neighborhood(255, (250,)), 4, Rng(0))
-    assert d255.choice == "minus" and d255.forced
+    for seed in range(10):
+        for guided in (False, True):
+            assert _step([0, 10, 20], 3, 1, 0, 4, guided, Rng(seed)) == 1
+            assert _step([255, 250], 2, 1, 0, 4, guided, Rng(seed)) == -1
 
 
 def test_empty_mask_falls_back_to_coin():
-    choices = {choose_direction(Neighborhood(100, (200,)), 4, Rng(seed)).choice
-               for seed in range(30)}
-    assert choices == {"minus", "plus"}
+    flat = [100, 200]
+    assert neighbor_vote(flat, 2, 1, 0, 4) == (0, 0)
+    steps = [_step(flat, 2, 1, 0, 4, True, Rng(seed)) for seed in range(30)]
+    assert set(steps) == {-1, 1}
+    # the fallback is the very coin the baseline rule would flip
+    assert steps == [_step(flat, 2, 1, 0, 4, False, Rng(seed)) for seed in range(30)]
 
 
 def test_tie_falls_back_to_coin():
     # neighbors straddle the center symmetrically: both steps cost the same
-    nb = Neighborhood(100, (99, 101))
-    choices = {choose_direction(nb, 4, Rng(seed)).choice for seed in range(30)}
-    assert choices == {"minus", "plus"}
-
-
-def test_guided_sign_agrees_with_choose_direction():
-    gen = np.random.default_rng(8)
-    for trial in range(200):
-        img = GrayImage(gen.integers(0, 256, (5, 5), dtype=np.uint8))
-        x, y = int(gen.integers(0, 5)), int(gen.integers(0, 5))
-        nb = neighborhood_at(img, x, y)
-        decision = choose_direction(nb, 4, Rng(trial))
-        flat = img.pixels.ravel().tolist()
-        sign = _guided_sign(flat, 5, 5, y * 5 + x, 4, Rng(trial))
-        assert sign == (1 if decision.choice == "plus" else -1)
+    flat = [99, 100, 101]
+    assert neighbor_vote(flat, 3, 1, 1, 4) == (2, 2)
+    assert {_step(flat, 3, 1, 1, 4, True, Rng(seed)) for seed in range(30)} == {-1, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +100,7 @@ def test_guided_sign_agrees_with_choose_direction():
 
 def test_lsbm_leaves_matching_pixels_alone():
     cover = flat_image([10] * 40)
-    stego = lsbm_embed(cover, [0] * 8, EmbedConfig(method="lsbm", seed=1))
+    stego = embed(cover, [0] * 8, EmbedConfig(method="lsbm", seed=1))
     diff = np.flatnonzero(stego.pixels.ravel() != cover.pixels.ravel())
     assert diff.tolist() == [28]  # the single 1-bit of the length prefix
     assert stego.pixels.ravel()[28] in (9, 11)
@@ -153,23 +108,23 @@ def test_lsbm_leaves_matching_pixels_alone():
 
 def test_lsbm_zero_pixel_goes_up():
     cover = flat_image([0] * 40)
-    stego = lsbm_embed(cover, [1] * 8, EmbedConfig(method="lsbm", seed=1))
+    stego = embed(cover, [1] * 8, EmbedConfig(method="lsbm", seed=1))
     out = stego.pixels.ravel()
     assert out[28] == 1
     assert out[32:].tolist() == [1] * 8
     assert out[:28].tolist() == [0] * 28
-    assert lsbm_extract(stego, EmbedConfig(method="lsbm", seed=1)) == [1] * 8
+    assert extract(stego, EmbedConfig(method="lsbm", seed=1)) == [1] * 8
 
 
 def test_lsbm_saturated_pixel_goes_down():
     cover = flat_image([255] * 40)
-    stego = lsbm_embed(cover, [0] * 8, EmbedConfig(method="lsbm", seed=1))
+    stego = embed(cover, [0] * 8, EmbedConfig(method="lsbm", seed=1))
     out = stego.pixels.ravel()
     assert out[:28].tolist() == [254] * 28
     assert out[28] == 255  # prefix bit 1 matches LSB(255)
     assert out[29:32].tolist() == [254] * 3
     assert out[32:].tolist() == [254] * 8
-    assert lsbm_extract(stego, EmbedConfig(method="lsbm", seed=1)) == [0] * 8
+    assert extract(stego, EmbedConfig(method="lsbm", seed=1)) == [0] * 8
 
 
 def test_lsbm_visited_lsbs_equal_message():
@@ -177,7 +132,7 @@ def test_lsbm_visited_lsbs_equal_message():
     cover = GrayImage(gen.integers(0, 256, (8, 8), dtype=np.uint8))
     bits = gen.integers(0, 2, 30).tolist()
     cfg = EmbedConfig(method="lsbm", seed=4)
-    stego = lsbm_embed(cover, bits, cfg)
+    stego = embed(cover, bits, cfg)
     lsbs = (stego.pixels.ravel() & 1).tolist()
     assert lsbs[32 : 32 + 30] == bits
 
@@ -196,31 +151,34 @@ def paired_cover():
 
 def test_lsbmr_pair_no_change():
     cfg = EmbedConfig(method="lsbmr", seed=2)
-    stego = lsbmr_embed(paired_cover(), [0, 1], cfg)
+    stego = embed(paired_cover(), [0, 1], cfg)
     out = stego.pixels.ravel()
     assert (out[32], out[33]) == (4, 7)  # s1 == LSB(4), s2 == f(4,7)
-    assert lsbmr_extract(stego, cfg) == [0, 1]
+    assert extract(stego, cfg) == [0, 1]
 
 
 def test_lsbmr_pair_adjusts_first_pixel():
     cfg = EmbedConfig(method="lsbmr", seed=2)
-    stego = lsbmr_embed(paired_cover(), [1, 0], cfg)
+    stego = embed(paired_cover(), [1, 0], cfg)
     out = stego.pixels.ravel()
     assert (out[32], out[33]) == (3, 7)  # f(3,7) == 0
-    assert lsbmr_extract(stego, cfg) == [1, 0]
+    assert extract(stego, cfg) == [1, 0]
 
 
 def test_lsbmr_pair_free_branch_uses_rng_sign():
-    cfg = EmbedConfig(method="lsbmr", seed=2)
-    # draw 1 feeds the prefix pair 15, draw 2 the payload pair
-    stego = lsbmr_embed(paired_cover(), [0, 0], cfg, rng=ScriptedRng([1, -1]))
-    out = stego.pixels.ravel()
-    assert (out[32], out[33]) == (4, 6)
-    assert f_pair(4, 6) == 0
-    assert lsbmr_extract(stego, cfg) == [0, 0]
+    # coin 1 feeds the free branch of prefix pair 15, coin 2 the payload
+    # pair (4, 7): s2 = 0 needs f_pair to flip, so y2 steps by the coin.
+    # Seed 0 draws a -1 there and seed 1 a +1.
+    for seed, y2 in ((0, 6), (1, 8)):
+        cfg = EmbedConfig(method="lsbmr", seed=seed)
+        stego = embed(paired_cover(), [0, 0], cfg)
+        out = stego.pixels.ravel()
+        assert (out[32], out[33]) == (4, y2)
+        assert f_pair(4, y2) == 0
+        assert extract(stego, cfg) == [0, 0]
 
 
-def test_lsbmr_extract_pair_readout():
+def test_lsbmr_pair_readout():
     assert (3 & 1, f_pair(3, 7)) == (1, 0)
     assert (4 & 1, f_pair(4, 7)) == (0, 1)
 
@@ -230,12 +188,12 @@ def test_lsbm_single_bit_on_zero_cover():
     # from 0 to 1 and everything else stays put
     cover = flat_image([0] * 64)
     cfg = EmbedConfig(method="lsbm", seed=20)
-    stego = lsbm_embed(cover, [1], cfg)
+    stego = embed(cover, [1], cfg)
     out = stego.pixels.ravel()
     changed = np.flatnonzero(out != 0)
     assert changed.tolist() == [31, 32]
     assert out[31] == 1 and out[32] == 1
-    assert lsbm_extract(stego, cfg) == [1]
+    assert extract(stego, cfg) == [1]
 
 
 def test_lsbmr_improved_free_branch_follows_neighborhood():
@@ -245,11 +203,11 @@ def test_lsbmr_improved_free_branch_follows_neighborhood():
     values[33] = 7
     cover = flat_image(values)
     cfg = EmbedConfig(method="lsbmr_improved", seed=21, threshold=4)
-    stego = lsbmr_improved_embed(cover, [0, 1], cfg)
+    stego = embed(cover, [0, 1], cfg)
     out = stego.pixels.ravel()
     assert out[33] == 6
     assert f_pair(int(out[32]), 6) == 1
-    assert lsbmr_extract(stego, cfg) == [0, 1]
+    assert extract(stego, cfg) == [0, 1]
 
 
 def test_lsbmr_boundary_fallback_changes_two_pixels():
@@ -259,8 +217,8 @@ def test_lsbmr_boundary_fallback_changes_two_pixels():
     cfg = EmbedConfig(method="lsbmr", seed=3)
     gen = np.random.default_rng(10)
     bits = gen.integers(0, 2, 14).tolist()
-    stego = lsbmr_embed(cover, bits, cfg)
-    assert lsbmr_extract(stego, cfg) == bits
+    stego = embed(cover, bits, cfg)
+    assert extract(stego, cfg) == bits
     diff = stego.pixels.ravel() != cover.pixels.ravel()
     per_pair = diff.reshape(-1, 2).sum(axis=1)
     assert per_pair.max() <= 2
@@ -273,7 +231,7 @@ def test_lsbmr_pair_change_bound_on_interior_covers():
     cover = GrayImage(gen.integers(1, 255, (8, 8), dtype=np.uint8))
     cfg = EmbedConfig(method="lsbmr", seed=5)
     bits = gen.integers(0, 2, 20).tolist()
-    stego = lsbmr_embed(cover, bits, cfg)
+    stego = embed(cover, bits, cfg)
     diff = stego.pixels.ravel() != cover.pixels.ravel()
     assert diff.reshape(-1, 2).sum(axis=1).max() <= 1
 
@@ -297,7 +255,7 @@ def test_improved_direction_follows_neighborhood():
     # payload bits sit at flat 32..39; only the center's bit mismatches
     payload = [0, 1, 1, 0, 0, 0, 0, 0]
     cfg = EmbedConfig(method="lsbm_improved", seed=6, threshold=4)
-    stego = lsbm_improved_embed(cover, payload, cfg)
+    stego = embed(cover, payload, cfg)
     assert stego.pixels.ravel()[33] == 101  # sad_plus 8 beats sad_minus 14
     # flat 28 carries the length prefix's single 1-bit; all else untouched
     untouched = [i for i in range(56) if i not in (28, 33)]
@@ -307,7 +265,7 @@ def test_improved_direction_follows_neighborhood():
 def test_improved_leaves_matching_pixels_alone():
     cover = flat_image([100] * 40)
     cfg = EmbedConfig(method="lsbm_improved", seed=7)
-    stego = lsbm_improved_embed(cover, [0] * 8, cfg)
+    stego = embed(cover, [0] * 8, cfg)
     out = stego.pixels.ravel()
     assert out[28] in (99, 101)
     assert np.count_nonzero(out != 100) == 1
@@ -317,8 +275,8 @@ def test_improvement_is_sign_only_lsbm():
     gen = np.random.default_rng(12)
     cover = GrayImage(gen.integers(0, 256, (10, 10), dtype=np.uint8))
     bits = gen.integers(0, 2, 60).tolist()
-    base = lsbm_embed(cover, bits, EmbedConfig(method="lsbm", seed=8))
-    imp = lsbm_improved_embed(cover, bits, EmbedConfig(method="lsbm_improved", seed=8))
+    base = embed(cover, bits, EmbedConfig(method="lsbm", seed=8))
+    imp = embed(cover, bits, EmbedConfig(method="lsbm_improved", seed=8))
     changed_base = np.flatnonzero(base.pixels.ravel() != cover.pixels.ravel())
     changed_imp = np.flatnonzero(imp.pixels.ravel() != cover.pixels.ravel())
     assert changed_base.tolist() == changed_imp.tolist()
@@ -328,8 +286,8 @@ def test_improvement_is_sign_only_lsbmr():
     gen = np.random.default_rng(13)
     cover = GrayImage(gen.integers(0, 256, (10, 10), dtype=np.uint8))
     bits = gen.integers(0, 2, 60).tolist()
-    base = lsbmr_embed(cover, bits, EmbedConfig(method="lsbmr", seed=9))
-    imp = lsbmr_improved_embed(cover, bits, EmbedConfig(method="lsbmr_improved", seed=9))
+    base = embed(cover, bits, EmbedConfig(method="lsbmr", seed=9))
+    imp = embed(cover, bits, EmbedConfig(method="lsbmr_improved", seed=9))
     changed_base = np.flatnonzero(base.pixels.ravel() != cover.pixels.ravel())
     changed_imp = np.flatnonzero(imp.pixels.ravel() != cover.pixels.ravel())
     assert changed_base.tolist() == changed_imp.tolist()
@@ -341,6 +299,28 @@ def test_improvement_is_sign_only_lsbmr():
         assert abs(int(imp.pixels.ravel()[idx]) - cover_flat[idx]) == 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_zero_threshold_improved_equals_baseline(data):
+    # at T=0 no neighbor is strictly closer than the threshold, so the mask is
+    # always empty and every free step takes the same coin as the baseline
+    h = data.draw(st.integers(1, 8), label="h")
+    w = data.draw(st.integers(math.ceil(34 / h), 40), label="w")  # h=1 gives 1xN covers
+    if data.draw(st.booleans(), label="transpose"):
+        h, w = w, h
+    raster = data.draw(st.binary(min_size=w * h, max_size=w * h), label="raster")
+    cover = GrayImage(np.frombuffer(raster, dtype=np.uint8).reshape(h, w))
+    nbits = data.draw(st.integers(0, 2 * (w * h // 2) - 32), label="nbits")
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits), label="bits")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    traversal = data.draw(st.sampled_from(["raster", "permuted"]), label="traversal")
+    for base in ("lsbm", "lsbmr"):
+        plain = embed(cover, bits, EmbedConfig(method=base, seed=seed, traversal=traversal))
+        guided = embed(cover, bits, EmbedConfig(method=base + "_improved", threshold=0,
+                                                seed=seed, traversal=traversal))
+        assert guided == plain
+
+
 # ---------------------------------------------------------------------------
 # capacity and framing errors
 
@@ -348,30 +328,30 @@ def test_improvement_is_sign_only_lsbmr():
 def test_capacity_error_when_message_too_long():
     cover = GrayImage(np.zeros((8, 8), dtype=np.uint8))
     with pytest.raises(CapacityError):
-        lsbm_embed(cover, [0] * 40, EmbedConfig(method="lsbm", seed=0))
+        embed(cover, [0] * 40, EmbedConfig(method="lsbm", seed=0))
 
 
 def test_capacity_respects_rate():
     cover = GrayImage(np.zeros((10, 10), dtype=np.uint8))
     cfg = EmbedConfig(method="lsbm", rate=0.4, seed=0)
-    lsbm_embed(cover, [0] * 8, cfg)  # framed 40 <= 100 * 0.4
+    embed(cover, [0] * 8, cfg)  # framed 40 <= 100 * 0.4
     with pytest.raises(CapacityError):
-        lsbm_embed(cover, [0] * 9, cfg)
+        embed(cover, [0] * 9, cfg)
 
 
 def test_extract_rejects_tampered_prefix():
     # all-ones LSBs declare a payload far beyond the carrier
     stego = GrayImage(np.full((8, 8), 255, dtype=np.uint8))
     with pytest.raises(FramingError):
-        lsbm_extract(stego, EmbedConfig(method="lsbm", seed=0))
+        extract(stego, EmbedConfig(method="lsbm", seed=0))
     with pytest.raises(FramingError):
-        lsbmr_extract(stego, EmbedConfig(method="lsbmr", seed=0))
+        extract(stego, EmbedConfig(method="lsbmr", seed=0))
 
 
 def test_extract_rejects_tiny_carrier():
     stego = GrayImage(np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(FramingError):
-        lsbm_extract(stego, EmbedConfig(method="lsbm", seed=0))
+        extract(stego, EmbedConfig(method="lsbm", seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +400,11 @@ def test_change_rates_smoke():
     bits = Rng(15).bits(n_bits)
     visited = n_bits + 32
     lsbm_frac = np.count_nonzero(
-        lsbm_embed(cover, bits, EmbedConfig(method="lsbm", seed=16)).pixels != cover.pixels
+        embed(cover, bits, EmbedConfig(method="lsbm", seed=16)).pixels != cover.pixels
     ) / visited
     assert abs(lsbm_frac - 0.5) < 0.02
     lsbmr_frac = np.count_nonzero(
-        lsbmr_embed(cover, bits, EmbedConfig(method="lsbmr", seed=16)).pixels != cover.pixels
+        embed(cover, bits, EmbedConfig(method="lsbmr", seed=16)).pixels != cover.pixels
     ) / visited
     assert abs(lsbmr_frac - 0.375) < 0.02
 
@@ -434,7 +414,7 @@ def test_partial_rate_leaves_tail_untouched():
     cover = GrayImage(gen.integers(0, 256, (16, 16), dtype=np.uint8))
     cfg = EmbedConfig(method="lsbm", rate=0.5, seed=18)
     bits = Rng(19).bits(60)
-    stego = lsbm_embed(cover, bits, cfg)
+    stego = embed(cover, bits, cfg)
     # only the first 92 raster positions are visited
     assert np.array_equal(stego.pixels.ravel()[92:], cover.pixels.ravel()[92:])
-    assert lsbm_extract(stego, cfg) == bits
+    assert extract(stego, cfg) == bits

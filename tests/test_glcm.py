@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from lsblab.glcm import (
     DEFAULT_OFFSETS,
     NEIGHBOR_OFFSETS,
     CooccurrenceMatrix,
+    band_energies,
     band_features,
     cooccurrence,
     diagonal_energies,
@@ -105,6 +108,25 @@ def test_energies_empty_matrix_errors():
     img = GrayImage(np.zeros((1, 1), dtype=np.uint8))
     with pytest.raises(ValueError):
         diagonal_energies(cooccurrence(img, (1, 0)))
+    with pytest.raises(ValueError):
+        band_energies(img, (1, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_band_energies_match_matrix_oracle(data):
+    # the |a - b| histogram must reproduce the matrix diagonals bit for bit
+    w = data.draw(st.integers(1, 12), label="w")
+    h = data.draw(st.integers(2, 12) if w == 1 else st.integers(1, 12), label="h")
+    spread = data.draw(st.sampled_from([3, 8, 256]), label="spread")
+    base = data.draw(st.integers(0, 256 - spread), label="base")
+    raster = data.draw(st.lists(st.integers(0, spread - 1), min_size=w * h, max_size=w * h))
+    img = GrayImage(np.array(raster, dtype=np.uint8).reshape(h, w) + base)
+    for offset in NEIGHBOR_OFFSETS:
+        if (offset[0] != 0 and w == 1) or (offset[1] != 0 and h == 1):
+            continue  # no in-bounds pairs
+        assert np.array_equal(band_energies(img, offset),
+                              diagonal_energies(cooccurrence(img, offset)))
 
 
 def test_band_features_single_offset():

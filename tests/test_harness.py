@@ -4,7 +4,6 @@ import pytest
 from lsblab.bits import CapacityError
 from lsblab.harness import (
     ExperimentReport,
-    FeatureVector,
     ReportRow,
     accuracy,
     benchmark,
@@ -18,8 +17,9 @@ from lsblab.harness import (
 from lsblab.image import GrayImage
 
 
-def fv(values, label):
-    return FeatureVector(np.asarray(values, dtype=float), label)
+def xy(rows):
+    """(x, y) arrays from (values, label) rows."""
+    return np.array([values for values, _ in rows], dtype=float), np.array([label for _, label in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -27,43 +27,43 @@ def fv(values, label):
 
 
 def test_fld_separates_one_dimensional_classes():
-    feats = [fv([0.1], 0), fv([0.2], 0), fv([0.8], 1), fv([0.9], 1)]
-    model = train_fld(feats)
-    assert accuracy(model, feats) == 100.0
+    x, y = xy([([0.1], 0), ([0.2], 0), ([0.8], 1), ([0.9], 1)])
+    model = train_fld(x, y)
+    assert accuracy(model, x, y) == 100.0
 
 
 def test_fld_two_dimensional_separable():
     gen = np.random.default_rng(0)
-    feats = [fv(gen.normal((0, 0), 0.1), 0) for _ in range(40)]
-    feats += [fv(gen.normal((3, 3), 0.1), 1) for _ in range(40)]
-    model = train_fld(feats)
-    assert accuracy(model, feats) == 100.0
+    x = np.concatenate([gen.normal((0, 0), 0.1, (40, 2)), gen.normal((3, 3), 0.1, (40, 2))])
+    y = np.repeat([0, 1], 40)
+    model = train_fld(x, y)
+    assert accuracy(model, x, y) == 100.0
 
 
 def test_fld_no_signal_is_chance_level():
     gen = np.random.default_rng(1)
-    train = [fv(gen.normal(0, 1, 4), i % 2) for i in range(400)]
-    test = [fv(gen.normal(0, 1, 4), i % 2) for i in range(400)]
-    model = train_fld(train)
-    assert abs(accuracy(model, test) - 50.0) <= 10.0
+    y = np.arange(400) % 2
+    x_train, x_test = gen.normal(0, 1, (400, 4)), gen.normal(0, 1, (400, 4))
+    model = train_fld(x_train, y)
+    assert abs(accuracy(model, x_test, y) - 50.0) <= 10.0
 
 
 def test_fld_requires_both_classes():
     with pytest.raises(ValueError):
-        train_fld([fv([0.1], 0), fv([0.2], 0)])
+        train_fld(*xy([([0.1], 0), ([0.2], 0)]))
 
 
 def test_fld_handles_singular_scatter():
     # identical samples within each class make the scatter all zeros
-    feats = [fv([0.0, 0.0], 0)] * 3 + [fv([1.0, 1.0], 1)] * 3
-    model = train_fld(feats)
-    assert accuracy(model, feats) == 100.0
+    x, y = xy([([0.0, 0.0], 0)] * 3 + [([1.0, 1.0], 1)] * 3)
+    model = train_fld(x, y)
+    assert accuracy(model, x, y) == 100.0
 
 
 def test_fld_identical_classes_degenerates_to_one_side():
-    feats = [fv([0.3, 0.7], 0), fv([0.3, 0.7], 1)] * 10
-    model = train_fld(feats)
-    assert accuracy(model, feats) == 50.0
+    x, y = xy([([0.3, 0.7], 0), ([0.3, 0.7], 1)] * 10)
+    model = train_fld(x, y)
+    assert accuracy(model, x, y) == 50.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ def test_equal_seeds_equal_streams():
     a = Rng(123456789)
     b = Rng(123456789)
     assert a.bits(1000) == b.bits(1000)
-    assert [a.randbelow(97) for _ in range(100)] == [b.randbelow(97) for _ in range(100)]
+    assert [a.sign() for _ in range(100)] == [b.sign() for _ in range(100)]
+    order_a, order_b = list(range(97)), list(range(97))
+    a.shuffle(order_a)
+    b.shuffle(order_b)
+    assert order_a == order_b
 
 
 def test_different_seeds_differ():
@@ -24,13 +28,6 @@ def test_sign_values():
     rng = Rng(7)
     signs = {rng.sign() for _ in range(100)}
     assert signs == {-1, 1}
-
-
-def test_randbelow_range():
-    rng = Rng(3)
-    draws = [rng.randbelow(10) for _ in range(1000)]
-    assert min(draws) >= 0 and max(draws) <= 9
-    assert len(set(draws)) == 10
 
 
 def test_shuffle_is_seeded_permutation():
