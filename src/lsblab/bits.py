@@ -35,14 +35,15 @@ def bits_to_bytes(bits: Sequence[int]) -> bytes:
     return np.packbits(np.asarray(bits, dtype=np.int64) & 1).tobytes()
 
 
-def frame_bits(payload_bits: Sequence[int]) -> list[int]:
-    """Prefix payload bits with their 32-bit big-endian count."""
+def frame_bits(payload_bits: Sequence[int]) -> np.ndarray:
+    """Prefix payload bits with their 32-bit big-endian count, as uint8."""
     n = len(payload_bits)
     if n > MAX_PAYLOAD_BITS:
         raise CapacityError(f"payload of {n} bits exceeds the 32-bit frame limit")
-    prefix = [(n >> shift) & 1 for shift in range(FRAME_BITS - 1, -1, -1)]
-    body = [b & 1 for b in payload_bits]
-    return prefix + body
+    framed = np.empty(FRAME_BITS + n, dtype=np.uint8)
+    framed[:FRAME_BITS] = (n >> np.arange(FRAME_BITS - 1, -1, -1)) & 1
+    framed[FRAME_BITS:] = np.asarray(payload_bits, dtype=np.int64) & 1
+    return framed
 
 
 def frame_length(bits: Sequence[int]) -> int:

@@ -8,12 +8,13 @@ Two code families share one config and framing contract:
   the first bit is the first pixel's LSB, the second is the pair function
   f_pair of both values.
 
-Every free up-or-down choice goes through one rule, _step: saturated pixels
-step inward; otherwise the "_improved" variants ask neighbor_vote, which
-steps the pixel toward its 3x3 neighbors, and the baselines flip a coin.
-Neighbors are read from the live, partially embedded raster, so
-earlier-visited pixels vote with their post-change values. The variants
-write the same code, so extract decodes every method of a family.
+Every free up-or-down choice follows one rule: saturated pixels step
+inward; otherwise the "_improved" variants ask neighbor_vote (in _step),
+which steps the pixel toward its 3x3 neighbors, and a step the vote leaves
+open, like every baseline step, takes the next coin. Neighbors are read
+from the live, partially embedded raster, so earlier-visited pixels vote
+with their post-change values. The variants write the same code, so
+extract decodes every method of a family.
 """
 
 from __future__ import annotations
@@ -89,25 +90,59 @@ def neighbor_vote(flat: list, width: int, height: int, idx: int, threshold: int)
     return sad_minus, sad_plus
 
 
-def _step(flat: list, width: int, height: int, idx: int, threshold: int, guided: bool,
-          rng: Rng) -> int:
-    """The ±1 step for a free choice at idx.
+def _step(flat: list, width: int, height: int, idx: int, threshold: int, coins) -> int:
+    """The guided ±1 step for a free choice at idx.
 
-    Saturated pixels step inward. The guided rule takes the step with the
-    smaller vote sum; an empty mask (both sums 0) or a tie falls back to a
-    fair coin, so it degrades to the plain random step exactly where it has
-    no information.
+    Saturated pixels step inward. Otherwise the step with the smaller vote
+    sum wins; an empty mask (both sums 0) or a tie takes the next coin from
+    the `coins` iterator, so the rule degrades to the baseline's random
+    step exactly where it has no information.
     """
     c = flat[idx]
     if c == 0:
         return 1
     if c == 255:
         return -1
-    if guided:
-        sad_minus, sad_plus = neighbor_vote(flat, width, height, idx, threshold)
-        if sad_minus != sad_plus:
-            return 1 if sad_plus < sad_minus else -1
-    return rng.sign()
+    sad_minus, sad_plus = neighbor_vote(flat, width, height, idx, threshold)
+    if sad_minus != sad_plus:
+        return 1 if sad_plus < sad_minus else -1
+    return next(coins)
+
+
+def _coins(seed: int, n: int) -> np.ndarray:
+    """The first n coin steps of a seed's coin stream: +1 for a 1 bit, -1 for a 0."""
+    return Rng(seed).bits(n).astype(np.int8) * 2 - 1
+
+
+_FREE = -1  # plan marker: the pixel takes a free ±1 step
+
+
+def _plan(order: np.ndarray, values: np.ndarray, framed: np.ndarray,
+          pairwise: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The pixels the code changes, in visiting order, and their new values.
+
+    values are the cover values at order. A new value of _FREE marks a free
+    ±1 step, which saturation, the vote or a coin decides.
+    """
+    if not pairwise:
+        change = (values & 1) != framed
+        return order[change], np.full(np.count_nonzero(change), _FREE, dtype=np.int16)
+    y1, y2 = values[0::2].astype(np.int16), values[1::2].astype(np.int16)
+    s1, s2 = framed[0::2], framed[1::2]
+    keep = (y1 & 1) == s1
+    # s1 needs a y1 step: take the candidate whose pair function matches s2
+    down = ~keep & (y1 > 0) & (f_pair(y1 - 1, y2) == s2)
+    up = ~keep & ~down & (y1 < 255) & (f_pair(y1 + 1, y2) == s2)
+    # saturated y1 whose required candidate is out of range: step inward
+    # (flipping the pair function) and step y2 to flip it back
+    fallback = ~keep & ~down & ~up
+    new_y1 = y1 - down + up + fallback * np.where(y1 == 0, 1, -1)
+    # the free branch: y1 already carries s1 and either y2 step re-encodes s2
+    y2_free = (keep & (f_pair(y1, y2) != s2)) | fallback
+    pixels = np.stack((order[0::2], order[1::2]), axis=1).ravel()
+    new = np.stack((new_y1, np.full_like(new_y1, _FREE)), axis=1).ravel()
+    moved = np.stack((~keep, y2_free), axis=1).ravel()
+    return pixels[moved], new[moved]
 
 
 def rate_capacity(rate: float, n_pixels: int) -> int:
@@ -116,9 +151,15 @@ def rate_capacity(rate: float, n_pixels: int) -> int:
 
 
 def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> GrayImage:
-    """Embed message bits with the method named in the config."""
+    """Embed message bits with the method named in the config.
+
+    The changes are planned on whole arrays; only the free steps' directions
+    are left open. Coins come from one draw of Rng(seed), one per coin-decided
+    step in visiting order. The baselines decide all free steps at once; the
+    improved methods walk the changes in order, since each vote reads the
+    pixels changed before it.
+    """
     pairwise = config.method.startswith("lsbmr")
-    guided = config.method.endswith("_improved")
     framed = frame_bits(message)
     n = cover.n_pixels
     structural = 2 * (n // 2) if pairwise else n
@@ -128,36 +169,28 @@ def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> Gray
             f"framed message of {len(framed)} bits exceeds capacity {capacity} "
             f"({cover.width}x{cover.height} cover at rate {config.rate:g})"
         )
-    order = traversal_order(cover, config.traversal, Rng(config.seed))
-    rng = Rng(config.seed)
-    w, h, t = cover.width, cover.height, config.threshold
-    flat = cover.pixels.ravel().tolist()
-    if not pairwise:
-        for idx, bit in zip(order, framed):
-            v = flat[idx]
-            if bit != (v & 1):
-                flat[idx] = v + _step(flat, w, h, idx, t, guided, rng)
-    else:
-        if len(framed) & 1:
-            framed.append(0)  # pad to a whole pair; the frame length ignores it
-        pixels, bits = iter(order), iter(framed)  # zip(it, it) takes items two at a time
-        for i1, i2, s1, s2 in zip(pixels, pixels, bits, bits):
-            y1, y2 = flat[i1], flat[i2]
-            if s1 == (y1 & 1):
-                if s2 != f_pair(y1, y2):
-                    # free branch: either y2 step re-encodes s2
-                    flat[i2] = y2 + _step(flat, w, h, i2, t, guided, rng)
-            # s1 needs a y1 step: take the candidate whose pair function matches s2
-            elif y1 > 0 and f_pair(y1 - 1, y2) == s2:
-                flat[i1] = y1 - 1
-            elif y1 < 255 and f_pair(y1 + 1, y2) == s2:
-                flat[i1] = y1 + 1
-            else:
-                # saturated y1 whose required candidate is out of range: step
-                # inward (flipping the pair function) and step y2 to flip it back
-                flat[i1] = 1 if y1 == 0 else 254
-                flat[i2] = y2 + _step(flat, w, h, i2, t, guided, rng)
-    return GrayImage(np.asarray(flat, dtype=np.uint8).reshape(cover.height, cover.width))
+    if pairwise and len(framed) & 1:
+        framed = np.append(framed, np.uint8(0))  # pad to a whole pair; the frame length ignores it
+    order = traversal_order(cover, config.traversal, Rng(config.seed))[: len(framed)]
+    flat = cover.pixels.ravel()
+    pixels, new = _plan(order, flat[order], framed, pairwise)
+    free = new == _FREE
+    if config.method.endswith("_improved"):
+        out = flat.tolist()
+        w, h, t = cover.width, cover.height, config.threshold
+        coins = iter(_coins(config.seed, int(np.count_nonzero(free))).tolist())
+        for idx, value in zip(pixels.tolist(), new.tolist()):
+            out[idx] = value if value != _FREE else out[idx] + _step(out, w, h, idx, t, coins)
+        return GrayImage(np.asarray(out, dtype=np.uint8).reshape(cover.height, cover.width))
+    # a free step moves a saturated pixel inward and any other by the next coin
+    values = flat[pixels[free]]
+    steps = np.where(values == 0, 1, -1).astype(np.int16)
+    coin_due = (values != 0) & (values != 255)
+    steps[coin_due] = _coins(config.seed, int(np.count_nonzero(coin_due)))
+    new[free] = values + steps
+    out = flat.copy()
+    out[pixels] = new
+    return GrayImage(out.reshape(cover.height, cover.width))
 
 
 def extract(stego: GrayImage, config: EmbedConfig) -> list[int]:

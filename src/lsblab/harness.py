@@ -79,7 +79,7 @@ def accuracy(model: FisherDiscriminant, x: np.ndarray, y: np.ndarray) -> float:
 # experiments
 
 
-def _message_bits(rate: float, n_pixels: int, seed: int) -> list[int]:
+def _message_bits(rate: float, n_pixels: int, seed: int) -> np.ndarray:
     budget = rate_capacity(rate, n_pixels)
     if budget <= FRAME_BITS:
         raise CapacityError(
@@ -138,11 +138,10 @@ def energy_experiment(corpus: Sequence[GrayImage], method: str | None, rate: flo
 
 def _split_accuracy(cover_x: np.ndarray, stego_x: np.ndarray, seed: int, split: float) -> float:
     n = len(cover_x)
-    indices = list(range(n))
-    Rng(derive_seed(seed, _TAG_SPLIT)).shuffle(indices)
+    indices = Rng(derive_seed(seed, _TAG_SPLIT)).shuffle(n)
     n_train = min(max(int(round(split * n)), 1), n - 1)
 
-    def labelled(idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    def labelled(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.concatenate([cover_x[idx], stego_x[idx]]), np.repeat([0, 1], len(idx))
 
     model = train_fld(*labelled(indices[:n_train]))

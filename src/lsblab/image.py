@@ -130,18 +130,16 @@ def save_pgm(path, image: GrayImage) -> None:
         fh.write(write_pgm(image))
 
 
-def traversal_order(image: GrayImage, mode: str, rng: Rng | None = None) -> list[int]:
-    """Pixel visiting order as flat row-major indices; a bijection over all pixels.
+def traversal_order(image: GrayImage, mode: str, rng: Rng | None = None) -> np.ndarray:
+    """Pixel visiting order as int32 flat row-major indices; a bijection over all pixels.
 
-    "raster" visits 0..N-1 in order. "permuted" applies a Fisher-Yates
-    shuffle driven by rng, so sender and receiver sharing a seed agree.
+    "raster" visits 0..N-1 in order. "permuted" is the Fisher-Yates order
+    rng.shuffle draws, so sender and receiver sharing a seed agree.
     """
-    order = list(range(image.n_pixels))
     if mode == "raster":
-        return order
+        return np.arange(image.n_pixels, dtype=np.int32)
     if mode == "permuted":
         if rng is None:
             raise ValueError("permuted traversal requires an rng")
-        rng.shuffle(order)
-        return order
+        return rng.shuffle(image.n_pixels)
     raise ValueError(f"unknown traversal mode: {mode!r}")

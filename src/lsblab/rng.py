@@ -1,39 +1,148 @@
-"""Seeded random source: equal seeds give equal streams on every platform."""
+"""Seeded random source: equal seeds give equal streams on every platform.
+
+Rng(seed) spends the 32-bit words of random.Random(seed), the stdlib
+Mersenne Twister, in exactly the order and the way the stdlib would, but on
+whole arrays of words at once:
+
+- bits(n) gives what n successive getrandbits(1) calls return: the top bit
+  of each word;
+- shuffle(n) gives the order random.Random(seed).shuffle leaves
+  list(range(n)) in. Its randrange(m) draws take the top m.bit_length()
+  bits of a word and draw again while those are >= m.
+
+So a receiver with nothing but the stdlib can reproduce every stream.
+"""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
+
+_WINDOW = 4096  # words per fixed-point window of the vectorised draws
+_TAIL = 256  # the last, smallest draws of a shuffle are taken one by one
 
 
 class Rng:
-    """Fair signs, bits and shuffles from one 64-bit seed.
+    """Fair bits and shuffles from one 64-bit seed.
 
-    Backed by the stdlib Mersenne Twister, whose output for a fixed seed
-    is documented to be reproducible across runs, platforms and Python
-    versions. All consumers that must agree (embedder and extractor)
-    rebuild their own Rng from the shared seed.
+    All consumers that must agree (embedder and extractor) rebuild their own
+    Rng from the shared seed; nothing is cached between instances.
     """
 
     def __init__(self, seed: int) -> None:
         self.seed = seed & _MASK64
-        self._rng = random.Random(self.seed)
+        self._random = random.Random(self.seed)
+        self._ahead = np.empty(0, dtype=np.uint32)  # drawn but not yet spent, oldest first
 
-    def sign(self) -> int:
-        """A fair +1 / -1 step."""
-        return 1 if self._rng.getrandbits(1) else -1
+    def _words(self, n: int) -> np.ndarray:
+        """The next n 32-bit outputs of the generator."""
+        ahead, self._ahead = self._ahead[:n], self._ahead[n:]
+        k = n - len(ahead)
+        # getrandbits(32 * k) packs k successive words, the first one least significant
+        raw = self._random.getrandbits(32 * k).to_bytes(4 * k, "little")
+        fresh = np.frombuffer(raw, dtype="<u4").astype(np.uint32, copy=False)
+        return np.concatenate((ahead, fresh)) if len(ahead) else fresh
 
-    def bits(self, n: int) -> list[int]:
-        """n independent fair bits."""
-        g = self._rng.getrandbits
-        return [g(1) for _ in range(n)]
+    def _put_back(self, words) -> None:
+        """Return unspent words to the front of the stream."""
+        self._ahead = np.concatenate((np.asarray(words, dtype=np.uint32), self._ahead))
 
-    def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle driven by this source."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self._rng.randrange(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
+    def bits(self, n: int) -> np.ndarray:
+        """n fair bits (uint8): successive getrandbits(1) values."""
+        return (self._words(n) >> 31).astype(np.uint8)
+
+    def shuffle(self, n: int) -> np.ndarray:
+        """Fisher-Yates order of range(n) as int32, equal to the stdlib's shuffle.
+
+        Step i (for i = n-1 down to 1) swaps slots i and j_i = randrange(i+1).
+        Slot i is final after its step, so out[i] is the value slot j_i holds
+        just before step i; out[0] is what slot 0 holds at the end.
+        """
+        if n < 2:
+            return np.arange(n, dtype=np.int32)
+        partner = np.zeros(n, dtype=np.int32)  # partner[i] = j_i; slot 0 reads itself
+        partner[1:] = self._draws(n)[::-1]
+        return _apply_swaps(partner)
+
+    def _draws(self, n: int) -> np.ndarray:
+        """randrange(m) for m = n, n-1, ..., 2, drawn from the stream in that order."""
+        draws = np.empty(max(n - 1, 0), dtype=np.int32)
+        t, vector_end = 0, max(n - 1 - _TAIL, 0)
+        while t < vector_end:
+            # Word q of the window serves draw t + (words accepted before q). Iterate
+            # that count to a fixed point: if two rounds first disagree at word d,
+            # the newer one is exact up to and including d, so each round extends
+            # the exact prefix and the loop ends.
+            words = self._words(min(_WINDOW, (vector_end - t) * 3 // 2 + 16))
+            local = np.minimum(np.arange(len(words)), vector_end - t - 1)
+            bound = (n - t - local).astype(np.uint32)
+            shift = (32 - np.frexp(bound)[1]).astype(np.uint32)  # frexp exponent = bit_length
+            limit = bound << shift  # word >> shift < bound exactly when word < limit
+            accept = words < limit[0]
+            while True:
+                again = words < limit.take(np.cumsum(accept) - accept)
+                if np.array_equal(again, accept):
+                    break
+                accept = again
+            taken = np.flatnonzero(accept)[: vector_end - t]
+            draws[t : t + len(taken)] = words[taken] >> shift[: len(taken)]
+            t += len(taken)
+            if t == vector_end:
+                self._put_back(words[taken[-1] + 1 :])
+        # the last draws reject often and change bound every step: one at a time
+        words, used = self._words(2 * (len(draws) - t) + 16).tolist(), 0
+        for bound in range(n - t, 1, -1):
+            shift = 32 - bound.bit_length()
+            while True:
+                if used == len(words):
+                    words += self._words(len(words)).tolist()
+                r = words[used] >> shift
+                used += 1
+                if r < bound:
+                    break
+            draws[t] = r
+            t += 1
+        self._put_back(words[used:])
+        return draws
+
+
+def _apply_swaps(partner: np.ndarray) -> np.ndarray:
+    """Apply the swaps (i, partner[i]) for i = n-1 down to 0 to range(n).
+
+    The value slot p holds just before step i comes from the last earlier
+    step that wrote p: the smallest step i' > i with partner[i'] == p, which
+    moved in what slot i' held just before step i'. Following those links
+    from slot to slot ends at a slot no step wrote in time, which still
+    holds its own index.
+    """
+    n = len(partner)
+    # steps grouped by partner slot, each group in ascending step order
+    steps = np.argsort(partner.astype(np.int64) * n + np.arange(n)).astype(np.int32)
+    grouped = partner[steps]
+    head = np.ones(n, dtype=bool)
+    np.not_equal(grouped[1:], grouped[:-1], out=head[1:])
+    # later[i]: the next larger step with i's partner, i.e. the previous write to that slot
+    following = np.empty(n, dtype=np.int32)
+    following[:-1] = steps[1:]
+    following[-1] = -1
+    np.putmask(following[:-1], head[1:], -1)
+    later = np.empty(n, dtype=np.int32)
+    later[steps] = following
+    # writer[p]: the last step before step p that wrote slot p (the head of p's group),
+    # or p itself if none did. A step i' writing slot p has i' > p, unless p swaps with
+    # itself; such a p is never looked up, since the lookups below follow writes.
+    writer = np.arange(n, dtype=np.int32)
+    writer[grouped[head]] = steps[head]
+    # pointer jumping: writer[p] becomes the slot whose own index slot p holds before step p
+    while True:
+        jumped = writer[writer]
+        if np.array_equal(jumped, writer):
+            break
+        writer = jumped
+    return np.where(later >= 0, writer[later], partner).astype(np.int32)
 
 
 def derive_seed(seed: int, *indices: int) -> int:

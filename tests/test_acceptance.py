@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lsblab.bits import FRAME_BITS
-from lsblab.embed import EmbedConfig, _step, embed, extract, neighbor_vote, rate_capacity
+from lsblab.embed import EmbedConfig, _coins, _step, embed, extract, neighbor_vote, rate_capacity
 from lsblab.glcm import NEIGHBOR_OFFSETS, cooccurrence
 from lsblab.harness import detection_experiment, energy_experiment, synthetic_corpus
 from lsblab.image import GrayImage
@@ -56,7 +56,7 @@ def roundtrip_trials():
         for mi, method in enumerate(METHODS):
             for ri, rate in enumerate(ROUNDTRIP_RATES):
                 budget = rate_capacity(rate, cover.n_pixels)
-                bits = Rng(derive_seed(MASTER_SEED, i, mi, ri)).bits(budget - FRAME_BITS)
+                bits = Rng(derive_seed(MASTER_SEED, i, mi, ri)).bits(budget - FRAME_BITS).tolist()
                 cfg = EmbedConfig(method=method, rate=rate,
                                   seed=derive_seed(MASTER_SEED, i, mi, ri, 1))
                 stego = embed(cover, bits, cfg)
@@ -145,7 +145,7 @@ def test_direction_choice_worked_example():
         sad_minus, sad_plus = neighbor_vote(block, 3, 3, 4, 4)
         assert sad_minus == 14
         assert sad_plus == 8
-        assert _step(block, 3, 3, 4, 4, True, Rng(0)) == 1
+        assert _step(block, 3, 3, 4, 4, iter(_coins(0, 1).tolist())) == 1
 
 
 def test_energy_trend():

@@ -30,12 +30,12 @@ def test_bytes_to_bits_msb_first():
 def test_frame_single_byte():
     framed = frame_bits(bytes_to_bits(b"\xa5"))
     # 32-bit big-endian count of 8, then the payload bits
-    assert framed[:32] == [0] * 28 + [1, 0, 0, 0]
-    assert framed[32:] == [1, 0, 1, 0, 0, 1, 0, 1]
+    assert framed[:32].tolist() == [0] * 28 + [1, 0, 0, 0]
+    assert framed[32:].tolist() == [1, 0, 1, 0, 0, 1, 0, 1]
 
 
 def test_frame_empty_payload():
-    assert frame_bits(bytes_to_bits(b"")) == [0] * 32
+    assert frame_bits(bytes_to_bits(b"")).tolist() == [0] * 32
 
 
 def test_frame_length_reads_uint8_arrays():
@@ -80,9 +80,9 @@ def test_frame_roundtrip_bytes(payload):
 
 @given(st.lists(st.integers(0, 1), max_size=300))
 def test_frame_roundtrip_bits(bits):
-    assert framed_payload(frame_bits(bits)) == bits
+    assert framed_payload(frame_bits(bits)).tolist() == bits
 
 
 @given(st.lists(st.integers(0, 1), max_size=300))
 def test_trailing_bits_ignored(bits):
-    assert framed_payload(frame_bits(bits) + [1, 1, 0]) == bits
+    assert framed_payload(frame_bits(bits).tolist() + [1, 1, 0]) == bits

@@ -1,13 +1,19 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsblab.bits import CapacityError, FramingError
-from lsblab.embed import EmbedConfig, _step, embed, extract, f_pair, neighbor_vote
+from lsblab.embed import EmbedConfig, _coins, _step, embed, extract, f_pair, neighbor_vote
 from lsblab.image import GrayImage
 from lsblab.rng import Rng
+
+
+def coins(seed):
+    """The coin iterator _step draws from, for a seed's coin stream."""
+    return iter(_coins(seed, 1).tolist())
 
 
 def flat_image(values, width=8):
@@ -69,26 +75,27 @@ def test_mask_is_strict_inequality():
 
 
 def test_saturated_centers_are_forced():
+    # the baselines' inward step is test_lsbm_zero_pixel_goes_up and
+    # test_lsbm_saturated_pixel_goes_down
     for seed in range(10):
-        for guided in (False, True):
-            assert _step([0, 10, 20], 3, 1, 0, 4, guided, Rng(seed)) == 1
-            assert _step([255, 250], 2, 1, 0, 4, guided, Rng(seed)) == -1
+        assert _step([0, 10, 20], 3, 1, 0, 4, coins(seed)) == 1
+        assert _step([255, 250], 2, 1, 0, 4, coins(seed)) == -1
 
 
 def test_empty_mask_falls_back_to_coin():
     flat = [100, 200]
     assert neighbor_vote(flat, 2, 1, 0, 4) == (0, 0)
-    steps = [_step(flat, 2, 1, 0, 4, True, Rng(seed)) for seed in range(30)]
+    steps = [_step(flat, 2, 1, 0, 4, coins(seed)) for seed in range(30)]
     assert set(steps) == {-1, 1}
     # the fallback is the very coin the baseline rule would flip
-    assert steps == [_step(flat, 2, 1, 0, 4, False, Rng(seed)) for seed in range(30)]
+    assert steps == [int(_coins(seed, 1)[0]) for seed in range(30)]
 
 
 def test_tie_falls_back_to_coin():
     # neighbors straddle the center symmetrically: both steps cost the same
     flat = [99, 100, 101]
     assert neighbor_vote(flat, 3, 1, 1, 4) == (2, 2)
-    assert {_step(flat, 3, 1, 1, 4, True, Rng(seed)) for seed in range(30)} == {-1, 1}
+    assert {_step(flat, 3, 1, 1, 4, coins(seed)) for seed in range(30)} == {-1, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +306,86 @@ def test_improvement_is_sign_only_lsbmr():
         assert abs(int(imp.pixels.ravel()[idx]) - cover_flat[idx]) == 1
 
 
-@settings(max_examples=40, deadline=None)
+@st.composite
+def edge_covers(draw):
+    """Covers at the edges: 1xN and Nx1 strips, odd pixel counts, saturated values."""
+    shape = draw(st.sampled_from(["row", "column", "block"]), label="shape")
+    if shape == "block":
+        h = draw(st.integers(2, 9), label="h")
+        w = draw(st.integers(math.ceil(34 / h), 41), label="w")
+    else:
+        h, w = 1, draw(st.integers(34, 120), label="n")
+        if shape == "column":
+            h, w = w, h
+    palette = draw(st.sampled_from([(0, 255), (0, 1, 254, 255), tuple(range(256))]), label="palette")
+    raster = draw(st.lists(st.sampled_from(palette), min_size=w * h, max_size=w * h), label="raster")
+    return GrayImage(np.array(raster, dtype=np.uint8).reshape(h, w))
+
+
+@settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_zero_threshold_improved_equals_baseline(data):
     # at T=0 no neighbor is strictly closer than the threshold, so the mask is
-    # always empty and every free step takes the same coin as the baseline
-    h = data.draw(st.integers(1, 8), label="h")
-    w = data.draw(st.integers(math.ceil(34 / h), 40), label="w")  # h=1 gives 1xN covers
-    if data.draw(st.booleans(), label="transpose"):
-        h, w = w, h
-    raster = data.draw(st.binary(min_size=w * h, max_size=w * h), label="raster")
-    cover = GrayImage(np.frombuffer(raster, dtype=np.uint8).reshape(h, w))
-    nbits = data.draw(st.integers(0, 2 * (w * h // 2) - 32), label="nbits")
-    bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits), label="bits")
+    # always empty and every free step takes the same coin as the baseline.
+    # The improved methods walk their plan in Python and the baselines run on
+    # whole arrays, so this checks one against the other, with payloads up to
+    # and exactly at capacity
+    cover = data.draw(edge_covers(), label="cover")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     traversal = data.draw(st.sampled_from(["raster", "permuted"]), label="traversal")
     for base in ("lsbm", "lsbmr"):
-        plain = embed(cover, bits, EmbedConfig(method=base, seed=seed, traversal=traversal))
+        capacity = cover.n_pixels if base == "lsbm" else 2 * (cover.n_pixels // 2)
+        full = data.draw(st.booleans(), label="full")
+        nbits = capacity - 32 if full else data.draw(st.integers(0, capacity - 32), label="nbits")
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits), label="bits")
+        plain_cfg = EmbedConfig(method=base, seed=seed, traversal=traversal)
+        plain = embed(cover, bits, plain_cfg)
         guided = embed(cover, bits, EmbedConfig(method=base + "_improved", threshold=0,
                                                 seed=seed, traversal=traversal))
         assert guided == plain
+        assert extract(plain, plain_cfg) == bits
+
+
+def stdlib_order(n, seed, traversal):
+    order = list(range(n))
+    if traversal == "permuted":
+        random.Random(seed % 2**64).shuffle(order)
+    return order
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_wire_contract_in_stdlib_terms(data):
+    # the README's contract: traversal is random.Random(seed).shuffle, coins are
+    # successive getrandbits(1) of a second random.Random(seed), and the frame
+    # is a 32-bit big-endian count
+    cover = data.draw(edge_covers(), label="cover")
+    seed = data.draw(st.integers(0, 2**70), label="seed")
+    traversal = data.draw(st.sampled_from(["raster", "permuted"]), label="traversal")
+    nbits = data.draw(st.integers(0, 2 * (cover.n_pixels // 2) - 32), label="nbits")
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits), label="bits")
+    order = stdlib_order(cover.n_pixels, seed, traversal)
+    framed = [int(b) for b in format(nbits, "032b")] + bits
+    pixels, coins = cover.pixels.ravel().tolist(), random.Random(seed % 2**64)
+    for idx, bit in zip(order, framed):
+        value = pixels[idx]
+        if value & 1 != bit:
+            if value in (0, 255):
+                pixels[idx] = 1 if value == 0 else 254
+            else:
+                pixels[idx] = value + (1 if coins.getrandbits(1) else -1)
+    cfg = EmbedConfig(method="lsbm", seed=seed, traversal=traversal)
+    stego = embed(cover, bits, cfg)
+    assert stego.pixels.ravel().tolist() == pixels
+    # the receiver side: pure stdlib decoding of both families
+    lsbs = [pixels[i] & 1 for i in order]
+    assert lsbs[32 : 32 + int("".join(map(str, lsbs[:32])), 2)] == bits
+    pair_stego = embed(cover, bits, EmbedConfig(method="lsbmr", seed=seed, traversal=traversal))
+    values = pair_stego.pixels.ravel().tolist()
+    pair_bits = []
+    for i1, i2 in zip(order[0::2], order[1::2]):
+        pair_bits += [values[i1] & 1, ((values[i1] >> 1) + values[i2]) & 1]
+    assert pair_bits[32 : 32 + int("".join(map(str, pair_bits[:32])), 2)] == bits
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +452,7 @@ def test_roundtrip_and_distortion(method, data):
 def test_saturated_covers_stay_in_range(method, value):
     cover = GrayImage(np.full((12, 12), value, dtype=np.uint8))
     cfg = EmbedConfig(method=method, seed=11)
-    bits = Rng(1).bits(100)
+    bits = Rng(1).bits(100).tolist()
     stego = embed(cover, bits, cfg)
     assert extract(stego, cfg) == bits
     assert int(stego.pixels.min()) >= 0 and int(stego.pixels.max()) <= 255
@@ -413,7 +480,7 @@ def test_partial_rate_leaves_tail_untouched():
     gen = np.random.default_rng(17)
     cover = GrayImage(gen.integers(0, 256, (16, 16), dtype=np.uint8))
     cfg = EmbedConfig(method="lsbm", rate=0.5, seed=18)
-    bits = Rng(19).bits(60)
+    bits = Rng(19).bits(60).tolist()
     stego = embed(cover, bits, cfg)
     # only the first 92 raster positions are visited
     assert np.array_equal(stego.pixels.ravel()[92:], cover.pixels.ravel()[92:])

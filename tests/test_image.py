@@ -1,7 +1,13 @@
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from lsblab.cli import main
 from lsblab.image import (
     GrayImage,
     PgmFormatError,
@@ -83,13 +89,13 @@ def test_file_helpers_roundtrip(tmp_path):
 
 def test_traversal_raster():
     img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
-    assert traversal_order(img, "raster") == [0, 1, 2, 3]
+    assert traversal_order(img, "raster").tolist() == [0, 1, 2, 3]
 
 
 def test_traversal_permuted_is_seeded_bijection():
     img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
-    a = traversal_order(img, "permuted", Rng(5))
-    b = traversal_order(img, "permuted", Rng(5))
+    a = traversal_order(img, "permuted", Rng(5)).tolist()
+    b = traversal_order(img, "permuted", Rng(5)).tolist()
     assert a == b
     assert sorted(a) == list(range(64))
     assert a != list(range(64))
@@ -99,3 +105,80 @@ def test_traversal_unknown_mode():
     img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
         traversal_order(img, "spiral")
+
+
+# ---------------------------------------------------------------------------
+# malformed input: read_pgm raises PgmFormatError and nothing else
+
+VALID_PGM = write_pgm(GrayImage(np.arange(12, dtype=np.uint8).reshape(3, 4)))
+_NUMBERS = [b"0", b"1", b"3", b"4", b"12", b"-1", b"+3", b"255", b"256", b"1e3", b"\xd9\xa3",
+            b"99999999999999999999", b""]
+_GAPS = [b" ", b"\n", b"\t", b"\r\n", b"# note\n", b"#", b"", b" # cut"]
+
+
+@st.composite
+def mutated_pgms(draw):
+    """A valid 4x3 PGM with bytes flipped, inserted, deleted or cut off, mostly in the header."""
+    data = bytearray(VALID_PGM)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+        pos = draw(st.integers(0, min(len(data), 14)))
+        if op == "flip" and pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+        elif op == "insert":
+            data[pos:pos] = draw(st.sampled_from(_NUMBERS + _GAPS))
+        elif op == "delete":
+            del data[pos : pos + draw(st.integers(1, 3))]
+        else:
+            del data[draw(st.integers(0, len(data))):]
+    return bytes(data)
+
+
+_gap, _number = st.sampled_from(_GAPS), st.sampled_from(_NUMBERS)
+MALFORMED = st.one_of(
+    st.binary(max_size=40),
+    mutated_pgms(),
+    # well-formed magic, then odd fields and separators
+    st.tuples(st.sampled_from([b"P5", b"P2"]), _gap, _number, _gap, _number, _gap, _number,
+              _gap, st.binary(max_size=20)).map(b"".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=MALFORMED)
+def test_read_pgm_raises_only_format_errors(data):
+    try:
+        read_pgm(data)
+    except PgmFormatError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=MALFORMED)
+def test_cli_reports_malformed_pgm_as_format_error(data):
+    try:
+        read_pgm(data)
+    except PgmFormatError:
+        pass
+    else:
+        return  # the mutation happened to leave a valid file
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, payload = os.path.join(tmp, "bad.pgm"), os.path.join(tmp, "payload.bin")
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        with open(payload, "wb") as fh:
+            fh.write(b"hi")
+        out = os.path.join(tmp, "out")
+        for argv in (
+            ["embed", "--cover", bad, "--payload", payload, "--out", out, "--method", "lsbm",
+             "--seed", "1"],
+            ["extract", "--stego", bad, "--out", out, "--method", "lsbmr", "--seed", "1",
+             "--traversal", "permuted"],
+            ["features", "--image", bad, "--out", out],
+        ):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                assert main(argv) == 1, argv[0]
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("format: "), (argv[0], lines)
+            assert not os.path.exists(out)

@@ -1,40 +1,40 @@
+import random
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from lsblab.embed import _coins
 from lsblab.rng import Rng, derive_seed
 
 
 def test_equal_seeds_equal_streams():
     a = Rng(123456789)
     b = Rng(123456789)
-    assert a.bits(1000) == b.bits(1000)
-    assert [a.sign() for _ in range(100)] == [b.sign() for _ in range(100)]
-    order_a, order_b = list(range(97)), list(range(97))
-    a.shuffle(order_a)
-    b.shuffle(order_b)
-    assert order_a == order_b
+    assert a.bits(1000).tolist() == b.bits(1000).tolist()
+    assert a.bits(100).tolist() == b.bits(100).tolist()
+    assert a.shuffle(97).tolist() == b.shuffle(97).tolist()
 
 
 def test_different_seeds_differ():
-    assert Rng(1).bits(64) != Rng(2).bits(64)
+    assert Rng(1).bits(64).tolist() != Rng(2).bits(64).tolist()
 
 
 def test_coin_is_fair():
     # invariant: mean of 10^6 flips within 0.5 +/- 0.005
     rng = Rng(2024)
     n = 1_000_000
-    mean = sum(rng.bits(n)) / n
+    mean = int(rng.bits(n).sum()) / n
     assert abs(mean - 0.5) <= 0.005
 
 
 def test_sign_values():
-    rng = Rng(7)
-    signs = {rng.sign() for _ in range(100)}
+    signs = set(_coins(7, 100).tolist())
     assert signs == {-1, 1}
 
 
 def test_shuffle_is_seeded_permutation():
-    order1 = list(range(50))
-    order2 = list(range(50))
-    Rng(99).shuffle(order1)
-    Rng(99).shuffle(order2)
+    order1 = Rng(99).shuffle(50).tolist()
+    order2 = Rng(99).shuffle(50).tolist()
     assert order1 == order2
     assert sorted(order1) == list(range(50))
     assert order1 != list(range(50))
@@ -46,3 +46,50 @@ def test_derive_seed_is_stable_and_spreads():
     assert len(children) == 1000
     assert derive_seed(42, 1, 2) != derive_seed(42, 1)
     assert all(0 <= s < 2**64 for s in list(children)[:10])
+
+
+# ---------------------------------------------------------------------------
+# differential: the bulk engine against the stdlib generator it reproduces
+
+MASK64 = (1 << 64) - 1
+EDGE_SIZES = sorted({m for k in range(13) for m in (2**k - 1, 2**k, 2**k + 1) if m >= 1})
+SEEDS = st.one_of(st.sampled_from([0, MASK64]), st.integers(0, 2**70))
+
+
+def stdlib_order(seed, n):
+    order = list(range(n))
+    random.Random(seed & MASK64).shuffle(order)
+    return order
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(st.integers(1, 5000), st.sampled_from(EDGE_SIZES)), seed=SEEDS)
+def test_shuffle_matches_stdlib(n, seed):
+    order = Rng(seed).shuffle(n)
+    assert order.dtype == np.int32
+    assert order.tolist() == stdlib_order(seed, n)
+
+
+def test_shuffle_matches_stdlib_at_512_squared():
+    for seed in (0, MASK64):
+        assert Rng(seed).shuffle(512 * 512).tolist() == stdlib_order(seed, 512 * 512)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 3000), seed=SEEDS)
+def test_bits_are_successive_getrandbits(n, seed):
+    reference = random.Random(seed & MASK64)
+    assert Rng(seed).bits(n).tolist() == [reference.getrandbits(1) for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(0, 1500), min_size=1, max_size=4),
+       n_bits=st.integers(0, 100), seed=SEEDS)
+def test_stream_continues_where_the_stdlib_would(sizes, n_bits, seed):
+    # shuffles draw words ahead; the unspent ones must come back in order
+    rng, reference = Rng(seed), random.Random(seed & MASK64)
+    for n in sizes:
+        order = list(range(n))
+        reference.shuffle(order)
+        assert rng.shuffle(n).tolist() == order
+    assert rng.bits(n_bits).tolist() == [reference.getrandbits(1) for _ in range(n_bits)]
