@@ -23,16 +23,16 @@ class FramingError(ValueError):
     """The extracted stream carries no consistent length frame."""
 
 
-def bytes_to_bits(data: bytes | bytearray) -> list[int]:
-    """Unpack bytes into bits, MSB first within each byte."""
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
+def bytes_to_bits(data: bytes | bytearray) -> np.ndarray:
+    """Unpack bytes into a uint8 bit array, MSB first within each byte."""
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
 
 
 def bits_to_bytes(bits: Sequence[int]) -> bytes:
     """Pack bits (MSB first) back into bytes; inverse of bytes_to_bits."""
     if len(bits) % 8:
         raise ValueError(f"bit count {len(bits)} is not a whole number of bytes")
-    return np.packbits(np.asarray(bits, dtype=np.int64) & 1).tobytes()
+    return np.packbits(np.asarray(bits, dtype=np.uint8) & 1).tobytes()
 
 
 def frame_bits(payload_bits: Sequence[int]) -> np.ndarray:
@@ -42,7 +42,7 @@ def frame_bits(payload_bits: Sequence[int]) -> np.ndarray:
         raise CapacityError(f"payload of {n} bits exceeds the 32-bit frame limit")
     framed = np.empty(FRAME_BITS + n, dtype=np.uint8)
     framed[:FRAME_BITS] = (n >> np.arange(FRAME_BITS - 1, -1, -1)) & 1
-    framed[FRAME_BITS:] = np.asarray(payload_bits, dtype=np.int64) & 1
+    framed[FRAME_BITS:] = np.asarray(payload_bits, dtype=np.uint8) & 1
     return framed
 
 
@@ -50,7 +50,5 @@ def frame_length(bits: Sequence[int]) -> int:
     """Read the payload bit count out of a stream's first 32 bits."""
     if len(bits) < FRAME_BITS:
         raise FramingError(f"stream of {len(bits)} bits is shorter than the 32-bit prefix")
-    n = 0
-    for b in bits[:FRAME_BITS]:
-        n = (n << 1) | (int(b) & 1)  # int(): a numpy uint8 bit would keep n uint8
-    return n
+    prefix = np.packbits(np.asarray(bits[:FRAME_BITS], dtype=np.uint8) & 1)
+    return int.from_bytes(prefix.tobytes(), "big")

@@ -15,6 +15,11 @@ open, like every baseline step, takes the next coin. Neighbors are read
 from the live, partially embedded raster, so earlier-visited pixels vote
 with their post-change values. The variants write the same code, so
 extract decodes every method of a family.
+
+The walk keeps that raster with a one-pixel border of -1024, so the vote
+reads eight fixed offsets with no bounds checks. It caps T at 256: real
+neighbors differ by at most 255, so every T >= 256 admits all of them and
+no border pixel, which stays at least 1024 away from any center.
 """
 
 from __future__ import annotations
@@ -66,47 +71,52 @@ def f_pair(y1, y2):
     return ((y1 >> 1) + y2) & 1
 
 
-def neighbor_vote(flat: list, width: int, height: int, idx: int, threshold: int) -> tuple[int, int]:
-    """(sad_minus, sad_plus) for the pixel at flat index idx.
+def neighbor_vote(out: list, p: int, stride: int, threshold: int) -> tuple[int, int]:
+    """(sad_minus, sad_plus) for the pixel at index p of a bordered raster.
 
-    Only in-bounds 3x3 neighbors strictly closer than `threshold` to the
-    center vote; each sum adds the absolute differences between the voters
-    and the center after a -1 or a +1 step.
+    out is the raster with a one-pixel border of _BORDER (see _bordered), so
+    the eight neighbors sit at fixed offsets from p. Only neighbors strictly
+    closer than `threshold` to the center vote; each sum adds the absolute
+    differences between the voters and the center after a -1 or a +1 step.
+    The border never votes as long as threshold <= 256, which embed ensures.
     """
-    c = flat[idx]
-    x = idx % width
-    y = idx // width
+    c = out[p]
     sad_minus = 0
     sad_plus = 0
-    for ny in (y - 1, y, y + 1):
-        if 0 <= ny < height:
-            row = ny * width
-            for nx in (x - 1, x, x + 1):
-                if (nx != x or ny != y) and 0 <= nx < width:
-                    d = c - flat[row + nx]
-                    if -threshold < d < threshold:
-                        sad_minus += abs(d - 1)
-                        sad_plus += abs(d + 1)
+    for q in (p - stride - 1, p - stride, p - stride + 1, p - 1,
+              p + 1, p + stride - 1, p + stride, p + stride + 1):
+        d = c - out[q]
+        if -threshold < d < threshold:
+            sad_minus += abs(d - 1)
+            sad_plus += abs(d + 1)
     return sad_minus, sad_plus
 
 
-def _step(flat: list, width: int, height: int, idx: int, threshold: int, coins) -> int:
-    """The guided ±1 step for a free choice at idx.
+def _step(out: list, p: int, stride: int, threshold: int, coins) -> int:
+    """The guided ±1 step for a free choice at index p of a bordered raster.
 
     Saturated pixels step inward. Otherwise the step with the smaller vote
     sum wins; an empty mask (both sums 0) or a tie takes the next coin from
     the `coins` iterator, so the rule degrades to the baseline's random
     step exactly where it has no information.
     """
-    c = flat[idx]
+    c = out[p]
     if c == 0:
         return 1
     if c == 255:
         return -1
-    sad_minus, sad_plus = neighbor_vote(flat, width, height, idx, threshold)
+    sad_minus, sad_plus = neighbor_vote(out, p, stride, threshold)
     if sad_minus != sad_plus:
         return 1 if sad_plus < sad_minus else -1
     return next(coins)
+
+
+_BORDER = -1024  # differs from every pixel value 0..255 by at least 1024
+
+
+def _bordered(pixels: np.ndarray) -> list:
+    """The raster as a flat list with a one-pixel border of _BORDER, row stride width + 2."""
+    return np.pad(pixels.astype(np.int16), 1, constant_values=_BORDER).ravel().tolist()
 
 
 def _coins(seed: int, n: int) -> np.ndarray:
@@ -176,12 +186,17 @@ def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> Gray
     pixels, new = _plan(order, flat[order], framed, pairwise)
     free = new == _FREE
     if config.method.endswith("_improved"):
-        out = flat.tolist()
-        w, h, t = cover.width, cover.height, config.threshold
+        w, h = cover.width, cover.height
+        out = _bordered(cover.pixels)
+        # Real neighbors differ by at most 255, so every T >= 256 admits all of
+        # them, and the border, at least 1024 away, is never closer than 256.
+        t = min(config.threshold, 256)
         coins = iter(_coins(config.seed, int(np.count_nonzero(free))).tolist())
-        for idx, value in zip(pixels.tolist(), new.tolist()):
-            out[idx] = value if value != _FREE else out[idx] + _step(out, w, h, idx, t, coins)
-        return GrayImage(np.asarray(out, dtype=np.uint8).reshape(cover.height, cover.width))
+        # pixel y * w + x sits at (y + 1) * (w + 2) + x + 1 in the bordered list
+        for p, value in zip((pixels + 2 * (pixels // w) + w + 3).tolist(), new.tolist()):
+            out[p] = value if value != _FREE else out[p] + _step(out, p, w + 2, t, coins)
+        stego = np.asarray(out, dtype=np.int16).reshape(h + 2, w + 2)[1:-1, 1:-1]
+        return GrayImage(stego.astype(np.uint8))
     # a free step moves a saturated pixel inward and any other by the next coin
     values = flat[pixels[free]]
     steps = np.where(values == 0, 1, -1).astype(np.int16)
@@ -193,12 +208,12 @@ def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> Gray
     return GrayImage(out.reshape(cover.height, cover.width))
 
 
-def extract(stego: GrayImage, config: EmbedConfig) -> list[int]:
+def extract(stego: GrayImage, config: EmbedConfig) -> np.ndarray:
     """Read back the payload under the shared seed and traversal.
 
     lsbm reads each visited pixel's LSB; lsbmr reads LSB(y1) and
     f_pair(y1, y2) per visited pair. The 32-bit frame then says how many
-    payload bits follow.
+    payload bits follow; they come back as a uint8 array.
     """
     order = traversal_order(stego, config.traversal, Rng(config.seed))
     values = stego.pixels.ravel()[order]
@@ -217,4 +232,4 @@ def extract(stego: GrayImage, config: EmbedConfig) -> list[int]:
         raise FramingError(
             f"declared payload of {declared} bits exceeds the {len(bits) - FRAME_BITS} available"
         )
-    return bits[FRAME_BITS : FRAME_BITS + declared].tolist()
+    return bits[FRAME_BITS : FRAME_BITS + declared]

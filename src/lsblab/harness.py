@@ -9,7 +9,7 @@ signal. Passing method=None runs the cover-vs-cover null experiment
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ from scipy.ndimage import gaussian_filter
 
 from .bits import CapacityError, FRAME_BITS
 from .embed import EmbedConfig, embed, rate_capacity
-from .glcm import DEFAULT_OFFSETS, N_BANDS, Offset, band_features
+from .glcm import N_BANDS, band_features
 from .image import GrayImage
 from .rng import Rng, derive_seed
 
@@ -89,57 +89,58 @@ def _message_bits(rate: float, n_pixels: int, seed: int) -> np.ndarray:
 
 
 def _embed_for_experiment(image: GrayImage, method: str | None, rate: float,
-                          threshold: int, image_index: int, seed: int,
-                          traversal: str) -> GrayImage:
+                          threshold: int, image_index: int, seed: int) -> GrayImage:
     if method is None:  # null experiment: the "stego" image is the cover itself
         return image
     bits = _message_bits(rate, image.n_pixels, derive_seed(seed, image_index, _TAG_MESSAGE))
     config = EmbedConfig(method=method, rate=rate, threshold=threshold,
                          seed=derive_seed(seed, image_index, _TAG_EMBED),
-                         traversal=traversal)
+                         traversal="permuted")
     return embed(image, bits, config)
 
 
-def _features(images: Sequence[GrayImage], offsets: Sequence[Offset]) -> np.ndarray:
-    """One band-feature row per image."""
+def _features(images: Sequence[GrayImage]) -> np.ndarray:
+    """One band-feature row per image, over DEFAULT_OFFSETS."""
     if len(images) == 0:
         raise ValueError("corpus must be non-empty")
-    return np.stack([band_features(image, offsets) for image in images])
+    return np.stack([band_features(image) for image in images])
 
 
 def _stego_features(corpus: Sequence[GrayImage], method: str | None, rate: float,
-                    threshold: int, seed: int, offsets: Sequence[Offset],
-                    traversal: str) -> np.ndarray:
+                    threshold: int, seed: int) -> np.ndarray:
     """Feature rows of one cell's stego images, in corpus order."""
-    return _features([_embed_for_experiment(image, method, rate, threshold, i, seed, traversal)
-                      for i, image in enumerate(corpus)], offsets)
+    return _features([_embed_for_experiment(image, method, rate, threshold, i, seed)
+                      for i, image in enumerate(corpus)])
 
 
 def _mean_energies(x: np.ndarray) -> np.ndarray:
-    # a feature row is len(offsets) blocks of 5 band energies; average the blocks
+    # a feature row is len(DEFAULT_OFFSETS) blocks of 5 band energies; average the blocks
     return x.reshape(len(x), -1, N_BANDS).mean(axis=1)
 
 
 def energy_experiment(corpus: Sequence[GrayImage], method: str | None, rate: float,
-                      threshold: int = 4, seed: int = 0,
-                      offsets: Sequence[Offset] = DEFAULT_OFFSETS,
-                      traversal: str = "permuted") -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-image (cover, stego) band energies averaged over the offset set.
+                      threshold: int = 4, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-image (cover, stego) band energies averaged over DEFAULT_OFFSETS.
 
     Message bits are drawn per image from seeds derived off `seed`, so a
     rerun with the same corpus and arguments reproduces exactly, and all
     methods at one rate see the same messages. Payloads are scattered with
     a per-image keyed permutation, the usual operating posture.
     """
-    cover_x = _features(corpus, offsets)
-    stego_x = _stego_features(corpus, method, rate, threshold, seed, offsets, traversal)
+    cover_x = _features(corpus)
+    stego_x = _stego_features(corpus, method, rate, threshold, seed)
     return list(zip(_mean_energies(cover_x), _mean_energies(stego_x)))
 
 
-def _split_accuracy(cover_x: np.ndarray, stego_x: np.ndarray, seed: int, split: float) -> float:
+def _split_accuracy(cover_x: np.ndarray, stego_x: np.ndarray, seed: int) -> float:
+    """Detection accuracy with a seeded half of the images training the FLD.
+
+    Both feature vectors of an image land on the same side of the split, so
+    train and test stay balanced 50/50 between classes.
+    """
     n = len(cover_x)
     indices = Rng(derive_seed(seed, _TAG_SPLIT)).shuffle(n)
-    n_train = min(max(int(round(split * n)), 1), n - 1)
+    n_train = round(n / 2)  # rounds half to even: 21 images train on 10
 
     def labelled(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.concatenate([cover_x[idx], stego_x[idx]]), np.repeat([0, 1], len(idx))
@@ -149,21 +150,12 @@ def _split_accuracy(cover_x: np.ndarray, stego_x: np.ndarray, seed: int, split: 
 
 
 def detection_experiment(corpus: Sequence[GrayImage], method: str | None, rate: float,
-                         threshold: int = 4, seed: int = 0, split: float = 0.5,
-                         offsets: Sequence[Offset] = DEFAULT_OFFSETS,
-                         traversal: str = "permuted") -> float:
+                         threshold: int = 4, seed: int = 0) -> float:
     """Held-out detection accuracy (percent) of an FLD on band energies.
 
-    Both feature vectors of an image land on the same side of the split, so
-    train and test stay balanced 50/50 between classes.
+    The corpus needs at least 20 images; this is one benchmark cell.
     """
-    if len(corpus) < 20:
-        raise ValueError(f"corpus of {len(corpus)} images is too small; need at least 20")
-    if not 0.0 < split < 1.0:
-        raise ValueError(f"split must be in (0, 1), got {split}")
-    cover_x = _features(corpus, offsets)
-    stego_x = _stego_features(corpus, method, rate, threshold, seed, offsets, traversal)
-    return _split_accuracy(cover_x, stego_x, seed, split)
+    return benchmark(corpus, [method], [rate], threshold, seed)[0].detect_pct
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +170,7 @@ REPORT_HEADER = (
 
 @dataclass
 class ReportRow:
-    method: str
+    method: str | None  # None: the cover-vs-cover null experiment
     rate: float
     threshold: int
     seed: int
@@ -188,37 +180,30 @@ class ReportRow:
     detect_pct: float
 
 
-@dataclass
-class ExperimentReport:
-    rows: list[ReportRow] = field(default_factory=list)
-
-
-def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str], rates: Sequence[float],
-              threshold: int = 4, seed: int = 0, split: float = 0.5,
-              offsets: Sequence[Offset] = DEFAULT_OFFSETS,
-              traversal: str = "permuted") -> ExperimentReport:
+def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
+              rates: Sequence[float], threshold: int = 4, seed: int = 0) -> list[ReportRow]:
     """One report row per method x rate: mean energies plus detection rate.
 
     Cover features do not depend on the cell, so they are computed once.
     """
     if len(corpus) < 20:
         raise ValueError(f"corpus of {len(corpus)} images is too small; need at least 20")
-    cover_x = _features(corpus, offsets)
+    cover_x = _features(corpus)
     cover_e = _mean_energies(cover_x).mean(axis=0)
-    report = ExperimentReport()
+    rows = []
     for method in methods:
         for rate in rates:
-            stego_x = _stego_features(corpus, method, rate, threshold, seed, offsets, traversal)
-            detect = _split_accuracy(cover_x, stego_x, seed, split)
-            report.rows.append(ReportRow(method, rate, threshold, seed, len(corpus), cover_e,
-                                         _mean_energies(stego_x).mean(axis=0), detect))
-    return report
+            stego_x = _stego_features(corpus, method, rate, threshold, seed)
+            rows.append(ReportRow(method, rate, threshold, seed, len(corpus), cover_e,
+                                  _mean_energies(stego_x).mean(axis=0),
+                                  _split_accuracy(cover_x, stego_x, seed)))
+    return rows
 
 
-def report_csv(report: ExperimentReport) -> str:
-    """Deterministic CSV with the fixed header; same report, same bytes."""
+def report_csv(rows: Sequence[ReportRow]) -> str:
+    """Deterministic CSV with the fixed header; same rows, same bytes."""
     lines = [REPORT_HEADER]
-    for r in report.rows:
+    for r in rows:
         cells = [r.method, f"{r.rate:g}", str(r.threshold), str(r.seed), str(r.n_images)]
         cells.extend(f"{v:.6f}" for v in r.cover_energies)
         cells.extend(f"{v:.6f}" for v in r.stego_energies)
@@ -230,21 +215,21 @@ def report_csv(report: ExperimentReport) -> str:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-def report_svg(report: ExperimentReport) -> str:
+def report_svg(rows: Sequence[ReportRow]) -> str:
     """Static line plot of main-diagonal energy vs rate, one line per method.
 
     The cover mean is drawn as a dashed reference. Pure geometry, no
-    interactivity; output bytes depend only on the report.
+    interactivity; output bytes depend only on the rows.
     """
     width, height = 640, 420
     left, right, top, bottom = 60, 20, 20, 40
     methods = []
-    for r in report.rows:
+    for r in rows:
         if r.method not in methods:
             methods.append(r.method)
-    rates = sorted({r.rate for r in report.rows})
-    ys = [float(r.stego_energies[0]) for r in report.rows]
-    ys += [float(r.cover_energies[0]) for r in report.rows]
+    rates = sorted({r.rate for r in rows})
+    ys = [float(r.stego_energies[0]) for r in rows]
+    ys += [float(r.cover_energies[0]) for r in rows]
     if not ys:
         ys = [0.0, 1.0]
     lo, hi = min(ys), max(ys)
@@ -279,18 +264,17 @@ def report_svg(report: ExperimentReport) -> str:
         parts.append(f'<text x="{left - 5}" y="{sy(e):.1f}" text-anchor="end" '
                      f'font-size="10">{e:.3f}</text>')
     for mi, method in enumerate(methods):
-        rows = [r for r in report.rows if r.method == method]
-        rows.sort(key=lambda r: r.rate)
+        line = sorted((r for r in rows if r.method == method), key=lambda r: r.rate)
         color = _SVG_COLORS[mi % len(_SVG_COLORS)]
-        points = " ".join(f"{sx(r.rate):.1f},{sy(float(r.stego_energies[0])):.1f}" for r in rows)
+        points = " ".join(f"{sx(r.rate):.1f},{sy(float(r.stego_energies[0])):.1f}" for r in line)
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        for r in rows:
+        for r in line:
             parts.append(f'<circle cx="{sx(r.rate):.1f}" cy="{sy(float(r.stego_energies[0])):.1f}" '
                          f'r="2.5" fill="{color}"/>')
         parts.append(f'<text x="{width - right - 5}" y="{top + 14 * (mi + 1)}" text-anchor="end" '
                      f'font-size="11" fill="{color}">{method}</text>')
-    if report.rows:
-        cover_mean = float(np.mean([r.cover_energies[0] for r in report.rows]))
+    if rows:
+        cover_mean = float(np.mean([r.cover_energies[0] for r in rows]))
         parts.append(f'<line x1="{left}" y1="{sy(cover_mean):.1f}" x2="{width - right}" '
                      f'y2="{sy(cover_mean):.1f}" stroke="gray" stroke-dasharray="4 3"/>')
         parts.append(f'<text x="{left + 5}" y="{sy(cover_mean) - 4:.1f}" font-size="10" '

@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 from lsblab.bits import FRAME_BITS
-from lsblab.embed import EmbedConfig, _coins, _step, embed, extract, neighbor_vote, rate_capacity
+from lsblab.embed import (
+    EmbedConfig,
+    _bordered,
+    _coins,
+    _step,
+    embed,
+    extract,
+    neighbor_vote,
+    rate_capacity,
+)
 from lsblab.glcm import NEIGHBOR_OFFSETS, cooccurrence
 from lsblab.harness import detection_experiment, energy_experiment, synthetic_corpus
 from lsblab.image import GrayImage
@@ -60,7 +69,7 @@ def roundtrip_trials():
                 cfg = EmbedConfig(method=method, rate=rate,
                                   seed=derive_seed(MASTER_SEED, i, mi, ri, 1))
                 stego = embed(cover, bits, cfg)
-                if extract(stego, cfg) != bits:
+                if extract(stego, cfg).tolist() != bits:
                     failures += 1
                 trials.append((method, rate, cover.pixels, stego.pixels))
     return {"trials": trials, "failures": failures, "elapsed": time.perf_counter() - t0}
@@ -140,12 +149,13 @@ def test_glcm_brute_force_oracle():
 
 def test_direction_choice_worked_example():
     with criterion("direction choice example: sad_minus 14, sad_plus 8, step +1"):
-        # 3x3 block [[100,101,102],[100,100,103],[99,100,101]], center idx 4, T=4
-        block = [100, 101, 102, 100, 100, 103, 99, 100, 101]
-        sad_minus, sad_plus = neighbor_vote(block, 3, 3, 4, 4)
+        # 3x3 block [[100,101,102],[100,100,103],[99,100,101]], T=4; bordered
+        # as embed walks it, the rows are 5 apart and the center sits at 12
+        block = _bordered(np.array([[100, 101, 102], [100, 100, 103], [99, 100, 101]]))
+        sad_minus, sad_plus = neighbor_vote(block, 12, 5, 4)
         assert sad_minus == 14
         assert sad_plus == 8
-        assert _step(block, 3, 3, 4, 4, iter(_coins(0, 1).tolist())) == 1
+        assert _step(block, 12, 5, 4, iter(_coins(0, 1).tolist())) == 1
 
 
 def test_energy_trend():

@@ -22,8 +22,8 @@ def framed_payload(bits):
 
 
 def test_bytes_to_bits_msb_first():
-    assert bytes_to_bits(b"\xa5") == [1, 0, 1, 0, 0, 1, 0, 1]
-    assert bytes_to_bits(b"\x80\x01") == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
+    assert bytes_to_bits(b"\xa5").tolist() == [1, 0, 1, 0, 0, 1, 0, 1]
+    assert bytes_to_bits(b"\x80\x01").tolist() == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
     assert bits_to_bytes([3, 0, 1, 2, 0, 1, 0, 1]) == b"\xa5"  # only each LSB counts
 
 

@@ -4,6 +4,8 @@ import pytest
 from lsblab.cli import main
 from lsblab.image import GrayImage, load_pgm, save_pgm
 
+from test_embed import SENDER_KEY, WRONG_KEY_COVERS, WRONG_KEY_PAYLOAD, wrong_keys
+
 
 @pytest.fixture
 def cover_path(tmp_path):
@@ -22,6 +24,11 @@ def payload_path(tmp_path):
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def flags(key):
+    """--method, --seed and --traversal arguments for a key dict."""
+    return [arg for name, value in key.items() for arg in (f"--{name}", value)]
 
 
 def test_embed_extract_roundtrip(tmp_path, cover_path, payload_path):
@@ -60,6 +67,29 @@ def test_wrong_seed_under_permutation_fails_or_differs(tmp_path, cover_path, pay
     status = run("extract", "--method", "lsbm", "--stego", stego, "--out", out,
                  "--seed", 43, "--traversal", "permuted")
     assert status == 1 or out.read_bytes() != payload_path.read_bytes()
+
+
+@pytest.mark.parametrize("cover_name", sorted(WRONG_KEY_COVERS))
+@pytest.mark.parametrize("family", ["lsbm", "lsbmr"])
+def test_wrong_key_extract_fails_cleanly_or_differs(tmp_path, capsys, family, cover_name):
+    # README, "No integrity check": exit 1 with one framing line, or exit 0 with
+    # other bytes; never a traceback or another category
+    cover, stego, out = tmp_path / "cover.pgm", tmp_path / "stego.pgm", tmp_path / "out.bin"
+    payload = tmp_path / "payload.bin"
+    save_pgm(cover, GrayImage(WRONG_KEY_COVERS[cover_name]))
+    payload.write_bytes(WRONG_KEY_PAYLOAD)
+    sender = {"method": family, **SENDER_KEY}
+    assert run("embed", "--cover", cover, "--out", stego, "--payload", payload,
+               *flags(sender)) == 0
+    for change in wrong_keys(family):
+        capsys.readouterr()
+        status = run("extract", "--stego", stego, "--out", out, *flags({**sender, **change}))
+        err = capsys.readouterr().err
+        if status == 1:
+            assert err.startswith("framing: ") and err.count("\n") == 1
+        else:
+            assert status == 0 and err == ""
+            assert out.read_bytes() != WRONG_KEY_PAYLOAD
 
 
 def test_embed_capacity_error_exit_code(tmp_path, cover_path):

@@ -1,13 +1,25 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lsblab.bits import CapacityError, FramingError
-from lsblab.embed import EmbedConfig, _coins, _step, embed, extract, f_pair, neighbor_vote
-from lsblab.image import GrayImage
+from lsblab.bits import CapacityError, FramingError, bytes_to_bits, frame_bits
+from lsblab.embed import (
+    _FREE,
+    EmbedConfig,
+    _bordered,
+    _coins,
+    _plan,
+    _step,
+    embed,
+    extract,
+    f_pair,
+    neighbor_vote,
+)
+from lsblab.image import GrayImage, traversal_order
 from lsblab.rng import Rng
 
 
@@ -68,24 +80,30 @@ def test_f_pair_on_uint8_arrays_matches_scalar():
 # test_acceptance.py::test_direction_choice_worked_example)
 
 
+def bordered_at(rows, idx):
+    """A block's bordered list as embed walks it, flat pixel idx's index in it, and its stride."""
+    width = len(rows[0])
+    return _bordered(np.array(rows)), idx + 2 * (idx // width) + width + 3, width + 2
+
+
 def test_mask_is_strict_inequality():
-    assert neighbor_vote([100, 120], 2, 1, 0, 4) == (0, 0)
+    assert neighbor_vote(*bordered_at([[100, 120]], 0), 4) == (0, 0)
     # 104 sits exactly at the threshold and does not vote; only 103 does
-    assert neighbor_vote([104, 100, 103], 3, 1, 1, 4) == (4, 2)
+    assert neighbor_vote(*bordered_at([[104, 100, 103]], 1), 4) == (4, 2)
 
 
 def test_saturated_centers_are_forced():
     # the baselines' inward step is test_lsbm_zero_pixel_goes_up and
     # test_lsbm_saturated_pixel_goes_down
     for seed in range(10):
-        assert _step([0, 10, 20], 3, 1, 0, 4, coins(seed)) == 1
-        assert _step([255, 250], 2, 1, 0, 4, coins(seed)) == -1
+        assert _step(*bordered_at([[0, 10, 20]], 0), 4, coins(seed)) == 1
+        assert _step(*bordered_at([[255, 250]], 0), 4, coins(seed)) == -1
 
 
 def test_empty_mask_falls_back_to_coin():
-    flat = [100, 200]
-    assert neighbor_vote(flat, 2, 1, 0, 4) == (0, 0)
-    steps = [_step(flat, 2, 1, 0, 4, coins(seed)) for seed in range(30)]
+    block = bordered_at([[100, 200]], 0)
+    assert neighbor_vote(*block, 4) == (0, 0)
+    steps = [_step(*block, 4, coins(seed)) for seed in range(30)]
     assert set(steps) == {-1, 1}
     # the fallback is the very coin the baseline rule would flip
     assert steps == [int(_coins(seed, 1)[0]) for seed in range(30)]
@@ -93,9 +111,9 @@ def test_empty_mask_falls_back_to_coin():
 
 def test_tie_falls_back_to_coin():
     # neighbors straddle the center symmetrically: both steps cost the same
-    flat = [99, 100, 101]
-    assert neighbor_vote(flat, 3, 1, 1, 4) == (2, 2)
-    assert {_step(flat, 3, 1, 1, 4, coins(seed)) for seed in range(30)} == {-1, 1}
+    block = bordered_at([[99, 100, 101]], 1)
+    assert neighbor_vote(*block, 4) == (2, 2)
+    assert {_step(*block, 4, coins(seed)) for seed in range(30)} == {-1, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +138,7 @@ def test_lsbm_zero_pixel_goes_up():
     assert out[28] == 1
     assert out[32:].tolist() == [1] * 8
     assert out[:28].tolist() == [0] * 28
-    assert extract(stego, EmbedConfig(method="lsbm", seed=1)) == [1] * 8
+    assert extract(stego, EmbedConfig(method="lsbm", seed=1)).tolist() == [1] * 8
 
 
 def test_lsbm_saturated_pixel_goes_down():
@@ -131,7 +149,7 @@ def test_lsbm_saturated_pixel_goes_down():
     assert out[28] == 255  # prefix bit 1 matches LSB(255)
     assert out[29:32].tolist() == [254] * 3
     assert out[32:].tolist() == [254] * 8
-    assert extract(stego, EmbedConfig(method="lsbm", seed=1)) == [0] * 8
+    assert extract(stego, EmbedConfig(method="lsbm", seed=1)).tolist() == [0] * 8
 
 
 def test_lsbm_visited_lsbs_equal_message():
@@ -161,7 +179,7 @@ def test_lsbmr_pair_no_change():
     stego = embed(paired_cover(), [0, 1], cfg)
     out = stego.pixels.ravel()
     assert (out[32], out[33]) == (4, 7)  # s1 == LSB(4), s2 == f(4,7)
-    assert extract(stego, cfg) == [0, 1]
+    assert extract(stego, cfg).tolist() == [0, 1]
 
 
 def test_lsbmr_pair_adjusts_first_pixel():
@@ -169,7 +187,7 @@ def test_lsbmr_pair_adjusts_first_pixel():
     stego = embed(paired_cover(), [1, 0], cfg)
     out = stego.pixels.ravel()
     assert (out[32], out[33]) == (3, 7)  # f(3,7) == 0
-    assert extract(stego, cfg) == [1, 0]
+    assert extract(stego, cfg).tolist() == [1, 0]
 
 
 def test_lsbmr_pair_free_branch_uses_rng_sign():
@@ -182,7 +200,7 @@ def test_lsbmr_pair_free_branch_uses_rng_sign():
         out = stego.pixels.ravel()
         assert (out[32], out[33]) == (4, y2)
         assert f_pair(4, y2) == 0
-        assert extract(stego, cfg) == [0, 0]
+        assert extract(stego, cfg).tolist() == [0, 0]
 
 
 def test_lsbmr_pair_readout():
@@ -200,7 +218,7 @@ def test_lsbm_single_bit_on_zero_cover():
     changed = np.flatnonzero(out != 0)
     assert changed.tolist() == [31, 32]
     assert out[31] == 1 and out[32] == 1
-    assert extract(stego, cfg) == [1]
+    assert extract(stego, cfg).tolist() == [1]
 
 
 def test_lsbmr_improved_free_branch_follows_neighborhood():
@@ -214,7 +232,7 @@ def test_lsbmr_improved_free_branch_follows_neighborhood():
     out = stego.pixels.ravel()
     assert out[33] == 6
     assert f_pair(int(out[32]), 6) == 1
-    assert extract(stego, cfg) == [0, 1]
+    assert extract(stego, cfg).tolist() == [0, 1]
 
 
 def test_lsbmr_boundary_fallback_changes_two_pixels():
@@ -225,7 +243,7 @@ def test_lsbmr_boundary_fallback_changes_two_pixels():
     gen = np.random.default_rng(10)
     bits = gen.integers(0, 2, 14).tolist()
     stego = embed(cover, bits, cfg)
-    assert extract(stego, cfg) == bits
+    assert extract(stego, cfg).tolist() == bits
     diff = stego.pixels.ravel() != cover.pixels.ravel()
     per_pair = diff.reshape(-1, 2).sum(axis=1)
     assert per_pair.max() <= 2
@@ -343,7 +361,96 @@ def test_zero_threshold_improved_equals_baseline(data):
         guided = embed(cover, bits, EmbedConfig(method=base + "_improved", threshold=0,
                                                 seed=seed, traversal=traversal))
         assert guided == plain
-        assert extract(plain, plain_cfg) == bits
+        assert extract(plain, plain_cfg).tolist() == bits
+
+
+# the bounds-checked vote on the unbordered raster, as embed walked it before
+# the border: the slow reference for neighbor_vote, _step and the guided walk
+
+
+def reference_vote(flat, width, height, idx, threshold):
+    c = flat[idx]
+    x = idx % width
+    y = idx // width
+    sad_minus = 0
+    sad_plus = 0
+    for ny in (y - 1, y, y + 1):
+        if 0 <= ny < height:
+            row = ny * width
+            for nx in (x - 1, x, x + 1):
+                if (nx != x or ny != y) and 0 <= nx < width:
+                    d = c - flat[row + nx]
+                    if -threshold < d < threshold:
+                        sad_minus += abs(d - 1)
+                        sad_plus += abs(d + 1)
+    return sad_minus, sad_plus
+
+
+def reference_step(flat, width, height, idx, threshold, coins):
+    c = flat[idx]
+    if c == 0:
+        return 1
+    if c == 255:
+        return -1
+    sad_minus, sad_plus = reference_vote(flat, width, height, idx, threshold)
+    if sad_minus != sad_plus:
+        return 1 if sad_plus < sad_minus else -1
+    return next(coins)
+
+
+def reference_guided_embed(cover, bits, cfg):
+    framed = frame_bits(bits)
+    pairwise = cfg.method.startswith("lsbmr")
+    if pairwise and len(framed) & 1:
+        framed = np.append(framed, np.uint8(0))
+    order = traversal_order(cover, cfg.traversal, Rng(cfg.seed))[: len(framed)]
+    flat = cover.pixels.ravel()
+    pixels, new = _plan(order, flat[order], framed, pairwise)
+    out = flat.tolist()
+    w, h = cover.width, cover.height
+    coin_stream = iter(_coins(cfg.seed, int(np.count_nonzero(new == _FREE))).tolist())
+    for idx, value in zip(pixels.tolist(), new.tolist()):
+        if value == _FREE:
+            value = out[idx] + reference_step(out, w, h, idx, cfg.threshold, coin_stream)
+        out[idx] = value
+    return GrayImage(np.asarray(out, dtype=np.uint8).reshape(h, w))
+
+
+THRESHOLDS = st.one_of(st.sampled_from([0, 1, 4, 255, 256, 257, 10**9]), st.integers(0, 10**9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bordered_vote_matches_bounds_checked_reference(data):
+    # every pixel of every block up to 9x9, 1xN, Nx1 and 2x2 included; the walk
+    # caps T at 256, the reference does not
+    h = data.draw(st.integers(1, 9), label="h")
+    w = data.draw(st.integers(1, 9), label="w")
+    palette = data.draw(st.sampled_from([(0, 255), (0, 1, 254, 255), tuple(range(256))]),
+                        label="palette")
+    flat = data.draw(st.lists(st.sampled_from(palette), min_size=w * h, max_size=w * h),
+                     label="raster")
+    threshold = data.draw(THRESHOLDS, label="threshold")
+    rows = np.array(flat).reshape(h, w)
+    for idx in range(w * h):
+        out, p, stride = bordered_at(rows, idx)
+        assert out[p] == flat[idx]
+        assert (neighbor_vote(out, p, stride, min(threshold, 256))
+                == reference_vote(flat, w, h, idx, threshold))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_bordered_walk_matches_bounds_checked_reference(data):
+    cover = data.draw(edge_covers(), label="cover")
+    method = data.draw(st.sampled_from(["lsbm_improved", "lsbmr_improved"]), label="method")
+    cfg = EmbedConfig(method=method, threshold=data.draw(THRESHOLDS, label="threshold"),
+                      seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+                      traversal=data.draw(st.sampled_from(["raster", "permuted"]), label="traversal"))
+    capacity = 2 * (cover.n_pixels // 2) if method == "lsbmr_improved" else cover.n_pixels
+    nbits = data.draw(st.integers(0, capacity - 32), label="nbits")
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits), label="bits")
+    assert embed(cover, bits, cfg) == reference_guided_embed(cover, bits, cfg)
 
 
 def stdlib_order(n, seed, traversal):
@@ -421,6 +528,38 @@ def test_extract_rejects_tiny_carrier():
         extract(stego, EmbedConfig(method="lsbm", seed=0))
 
 
+WRONG_KEY_COVERS = {
+    # random LSBs: a wrong key reads a random length that overflows the carrier
+    "noise": np.random.default_rng(22).integers(0, 256, (24, 24), dtype=np.uint8),
+    # even values: a wrong key reads mostly zero LSBs and a short garbage payload
+    "flat": np.full((24, 24), 100, dtype=np.uint8),
+}
+WRONG_KEY_PAYLOAD = b"\xb4\xb4"
+SENDER_KEY = {"seed": 42, "traversal": "permuted"}
+
+
+def wrong_keys(family):
+    """The receiver's key changes: another seed, the other traversal, the other family."""
+    return [{"seed": 43}, {"traversal": "raster"},
+            {"method": "lsbmr" if family == "lsbm" else "lsbm"}]
+
+
+@pytest.mark.parametrize("cover_name", sorted(WRONG_KEY_COVERS))
+@pytest.mark.parametrize("family", ["lsbm", "lsbmr"])
+def test_wrong_key_extraction_raises_or_differs(family, cover_name):
+    # the frame has no integrity check: under a wrong key extraction either
+    # finds no consistent frame or reads other bits
+    bits = bytes_to_bits(WRONG_KEY_PAYLOAD).tolist()
+    sender = EmbedConfig(method=family, **SENDER_KEY)
+    stego = embed(GrayImage(WRONG_KEY_COVERS[cover_name]), bits, sender)
+    for change in wrong_keys(family):
+        try:
+            recovered = extract(stego, replace(sender, **change))
+        except FramingError:
+            continue
+        assert recovered.tolist() != bits
+
+
 # ---------------------------------------------------------------------------
 # round trips and distortion bounds
 
@@ -443,7 +582,7 @@ def test_roundtrip_and_distortion(method, data):
     traversal = data.draw(st.sampled_from(["raster", "permuted"]), label="traversal")
     cfg = EmbedConfig(method=method, seed=seed, traversal=traversal)
     stego = embed(cover, bits, cfg)
-    assert extract(stego, cfg) == bits
+    assert extract(stego, cfg).tolist() == bits
     assert np.abs(stego.pixels.astype(int) - cover.pixels.astype(int)).max(initial=0) <= 1
 
 
@@ -454,7 +593,7 @@ def test_saturated_covers_stay_in_range(method, value):
     cfg = EmbedConfig(method=method, seed=11)
     bits = Rng(1).bits(100).tolist()
     stego = embed(cover, bits, cfg)
-    assert extract(stego, cfg) == bits
+    assert extract(stego, cfg).tolist() == bits
     assert int(stego.pixels.min()) >= 0 and int(stego.pixels.max()) <= 255
     assert np.abs(stego.pixels.astype(int) - cover.pixels.astype(int)).max() <= 1
 
@@ -484,4 +623,4 @@ def test_partial_rate_leaves_tail_untouched():
     stego = embed(cover, bits, cfg)
     # only the first 92 raster positions are visited
     assert np.array_equal(stego.pixels.ravel()[92:], cover.pixels.ravel()[92:])
-    assert extract(stego, cfg) == bits
+    assert extract(stego, cfg).tolist() == bits

@@ -3,7 +3,6 @@ import pytest
 
 from lsblab.bits import CapacityError
 from lsblab.harness import (
-    ExperimentReport,
     ReportRow,
     accuracy,
     benchmark,
@@ -135,9 +134,6 @@ def test_detection_requires_corpus_and_split():
     corpus = synthetic_corpus(10, 32, 32, seed=14)
     with pytest.raises(ValueError):
         detection_experiment(corpus, "lsbm", 0.8, seed=0)
-    corpus = synthetic_corpus(20, 32, 32, seed=14)
-    with pytest.raises(ValueError):
-        detection_experiment(corpus, "lsbm", 0.8, seed=0, split=1.0)
 
 
 def test_detection_finds_heavy_embedding():
@@ -151,14 +147,13 @@ def test_detection_finds_heavy_embedding():
 
 
 def sample_report():
-    row = ReportRow("lsbm", 0.4, 4, 7, 20,
-                    np.array([0.3, 0.3, 0.2, 0.1, 0.05]),
-                    np.array([0.25, 0.28, 0.22, 0.12, 0.07]), 83.25)
-    return ExperimentReport(rows=[row])
+    return [ReportRow("lsbm", 0.4, 4, 7, 20,
+                      np.array([0.3, 0.3, 0.2, 0.1, 0.05]),
+                      np.array([0.25, 0.28, 0.22, 0.12, 0.07]), 83.25)]
 
 
 def test_report_csv_header_only_when_empty():
-    csv = report_csv(ExperimentReport())
+    csv = report_csv([])
     assert csv == ("method,rate,T,seed,n,"
                    "e0_cover,e1_cover,e2_cover,e3_cover,e4_cover,"
                    "e0_stego,e1_stego,e2_stego,e3_stego,e4_stego,detect_pct\n")
@@ -176,7 +171,7 @@ def test_report_csv_row_format():
 def test_benchmark_arity_and_determinism():
     corpus = synthetic_corpus(20, 32, 32, seed=17)
     report = benchmark(corpus, ["lsbm", "lsbm_improved"], [0.4, 0.8], seed=18)
-    assert len(report.rows) == 4
+    assert len(report) == 4
     again = benchmark(corpus, ["lsbm", "lsbm_improved"], [0.4, 0.8], seed=18)
     assert report_csv(report) == report_csv(again)
 
