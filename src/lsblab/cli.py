@@ -7,10 +7,10 @@ import os
 import sys
 
 from .bits import CapacityError, FramingError, bits_to_bytes, bytes_to_bits
-from .embed import DEFAULT_THRESHOLD, EmbedConfig, embed, extract
+from .embed import DEFAULT_THRESHOLD, TRAVERSALS, EmbedConfig, embed, extract
 from .glcm import DEFAULT_OFFSETS, band_energies, cooccurrence, energies_to_csv, matrix_to_csv
 from .harness import benchmark, report_csv, report_svg, synthetic_corpus
-from .image import PgmFormatError, load_pgm, save_pgm, write_pgm
+from .image import PgmFormatError, load_pgm, save_pgm
 
 _METHOD_NAMES = {
     "lsbm": "lsbm",
@@ -71,9 +71,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_glcm(args: argparse.Namespace) -> int:
     image = load_pgm(args.image)
-    matrix = cooccurrence(image, _parse_offset(args.offset))
+    counts = cooccurrence(image, _parse_offset(args.offset))
     with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(matrix_to_csv(matrix))
+        fh.write(matrix_to_csv(counts))
     return 0
 
 
@@ -103,8 +103,7 @@ def _cmd_gen_corpus(args: argparse.Namespace) -> int:
     width, height = _parse_size(args.size)
     os.makedirs(args.out, exist_ok=True)
     for i, image in enumerate(synthetic_corpus(args.n, width, height, args.seed)):
-        with open(os.path.join(args.out, f"img_{i:04d}.pgm"), "wb") as fh:
-            fh.write(write_pgm(image))
+        save_pgm(os.path.join(args.out, f"img_{i:04d}.pgm"), image)
     return 0
 
 
@@ -117,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", required=True, choices=sorted(_METHOD_NAMES))
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--traversal", choices=("raster", "permuted"), default="raster")
+        p.add_argument("--traversal", choices=TRAVERSALS, default="raster")
         p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
 
     p = sub.add_parser("embed", help="hide a payload file in a PGM cover")

@@ -24,7 +24,6 @@ no border pixel, which stays at least 1024 away from any center.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,13 +43,11 @@ DEFAULT_THRESHOLD = 4
 class EmbedConfig:
     """Everything sender and receiver must share: method, seed, traversal.
 
-    rate caps the framed message length at rate * pixel-count bits;
     threshold is the neighbor-difference bound used only by the improved
     methods.
     """
 
     method: str
-    rate: float = 1.0
     threshold: int = DEFAULT_THRESHOLD
     seed: int = 0
     traversal: str = "raster"
@@ -58,8 +55,6 @@ class EmbedConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not 0.0 < self.rate <= 1.0:
-            raise ValueError(f"rate must be in (0, 1], got {self.rate}")
         if self.threshold < 0:
             raise ValueError(f"threshold must be non-negative, got {self.threshold}")
         if self.traversal not in TRAVERSALS:
@@ -155,11 +150,6 @@ def _plan(order: np.ndarray, values: np.ndarray, framed: np.ndarray,
     return pixels[moved], new[moved]
 
 
-def rate_capacity(rate: float, n_pixels: int) -> int:
-    """Bit budget at a payload rate; floor(rate * n) with float-noise guard."""
-    return math.floor(rate * n_pixels + 1e-9)
-
-
 def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> GrayImage:
     """Embed message bits with the method named in the config.
 
@@ -171,13 +161,11 @@ def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> Gray
     """
     pairwise = config.method.startswith("lsbmr")
     framed = frame_bits(message)
-    n = cover.n_pixels
-    structural = 2 * (n // 2) if pairwise else n
-    capacity = min(structural, rate_capacity(config.rate, n))
+    capacity = 2 * (cover.n_pixels // 2) if pairwise else cover.n_pixels
     if len(framed) > capacity:
         raise CapacityError(
             f"framed message of {len(framed)} bits exceeds capacity {capacity} "
-            f"({cover.width}x{cover.height} cover at rate {config.rate:g})"
+            f"({cover.width}x{cover.height} cover)"
         )
     if pairwise and len(framed) & 1:
         framed = np.append(framed, np.uint8(0))  # pad to a whole pair; the frame length ignores it
@@ -225,8 +213,6 @@ def extract(stego: GrayImage, config: EmbedConfig) -> np.ndarray:
         bits[1::2] = f_pair(y1, y2)
     else:
         bits = values & 1
-    if len(bits) < FRAME_BITS:
-        raise FramingError(f"carrier of {stego.n_pixels} pixels cannot hold the 32-bit prefix")
     declared = frame_length(bits[:FRAME_BITS])
     if FRAME_BITS + declared > len(bits):
         raise FramingError(

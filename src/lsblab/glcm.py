@@ -10,7 +10,6 @@ so they count a clipped |a - b| histogram and never build the matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,49 +18,32 @@ from .image import GrayImage
 
 Offset = tuple[int, int]
 
-# all eight one-pixel displacements
-NEIGHBOR_OFFSETS: tuple[Offset, ...] = (
-    (1, 0), (-1, 1), (0, 1), (1, 1), (-1, -1), (0, -1), (1, -1), (-1, 0),
-)
-
 # default feature set: horizontal, vertical and both diagonals
 DEFAULT_OFFSETS: tuple[Offset, ...] = ((1, 0), (0, 1), (1, 1), (-1, 1))
 
 N_BANDS = 5  # |i - j| = 0 .. 4
 
 
-@dataclass
-class CooccurrenceMatrix:
-    """Pair counts for one displacement; counts is a (256, 256) int64 array."""
-
-    offset: Offset
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 def _pairs(image: GrayImage, offset: Offset) -> tuple[np.ndarray, np.ndarray]:
     """The two ends of every in-bounds pixel pair at the displacement.
 
-    There is no wraparound or padding at the borders.
+    There is no wraparound or padding at the borders; the slice stops are
+    clamped at 0, so a displacement at or beyond the image side has no pairs.
     """
     dx, dy = offset
     if dx == 0 and dy == 0:
         raise ValueError("offset (0, 0) pairs every pixel with itself")
     h, w = image.pixels.shape
-    a = image.pixels[max(0, -dy) : h - max(0, dy), max(0, -dx) : w - max(0, dx)]
-    b = image.pixels[max(0, dy) : h - max(0, -dy), max(0, dx) : w - max(0, -dx)]
+    a = image.pixels[max(0, -dy) : max(0, h - dy), max(0, -dx) : max(0, w - dx)]
+    b = image.pixels[max(0, dy) : max(0, h + dy), max(0, dx) : max(0, w + dx)]
     return a, b
 
 
-def cooccurrence(image: GrayImage, offset: Offset) -> CooccurrenceMatrix:
-    """Count gray-level pairs at the given displacement (as `lsblab glcm` writes)."""
+def cooccurrence(image: GrayImage, offset: Offset) -> np.ndarray:
+    """(256, 256) int64 counts of gray-level pairs at the displacement (as `lsblab glcm` writes)."""
     a, b = _pairs(image, offset)
     codes = a.astype(np.int32).ravel() * 256 + b.astype(np.int32).ravel()
-    counts = np.bincount(codes, minlength=256 * 256).astype(np.int64).reshape(256, 256)
-    return CooccurrenceMatrix(offset=tuple(offset), counts=counts)
+    return np.bincount(codes, minlength=256 * 256).astype(np.int64).reshape(256, 256)
 
 
 def band_energies(image: GrayImage, offset: Offset) -> np.ndarray:
@@ -78,34 +60,30 @@ def band_energies(image: GrayImage, offset: Offset) -> np.ndarray:
     return counts[:N_BANDS] / a.size
 
 
-def diagonal_energies(matrix: CooccurrenceMatrix) -> np.ndarray:
-    """Fraction of pair counts on each band |i - j| = k, for k = 0..4.
+def diagonal_energies(counts: np.ndarray) -> np.ndarray:
+    """Fraction of a co-occurrence matrix's counts on each band |i - j| = k, for k = 0..4.
 
     Both the +k and -k diagonals count toward band k; values are
     normalized by the total so curves are comparable across image sizes.
     """
-    total = matrix.total
+    total = int(counts.sum())
     if total == 0:
         raise ValueError("empty co-occurrence matrix: no in-bounds pixel pairs")
     e = np.empty(N_BANDS, dtype=np.float64)
-    e[0] = np.trace(matrix.counts) / total
+    e[0] = np.trace(counts) / total
     for k in range(1, N_BANDS):
-        e[k] = (np.trace(matrix.counts, offset=k) + np.trace(matrix.counts, offset=-k)) / total
+        e[k] = (np.trace(counts, offset=k) + np.trace(counts, offset=-k)) / total
     return e
 
 
-def band_features(image: GrayImage, offsets: Sequence[Offset] = DEFAULT_OFFSETS) -> np.ndarray:
-    """Concatenated band energies over an offset set: 5 * len(offsets) features."""
-    if len(offsets) == 0:
-        raise ValueError("offset set must be non-empty")
-    if len(set(offsets)) != len(offsets):
-        raise ValueError(f"offset set contains duplicates: {offsets}")
-    return np.concatenate([band_energies(image, off) for off in offsets])
+def band_features(image: GrayImage) -> np.ndarray:
+    """Band energies over DEFAULT_OFFSETS, concatenated: 4 offsets x 5 bands."""
+    return np.concatenate([band_energies(image, off) for off in DEFAULT_OFFSETS])
 
 
-def matrix_to_csv(matrix: CooccurrenceMatrix) -> str:
+def matrix_to_csv(counts: np.ndarray) -> str:
     """256 lines of 256 comma-separated counts."""
-    return "\n".join(",".join(str(int(v)) for v in row) for row in matrix.counts) + "\n"
+    return "\n".join(",".join(str(int(v)) for v in row) for row in counts) + "\n"
 
 
 ENERGY_CSV_HEADER = "offset,e0,e1,e2,e3,e4"

@@ -9,6 +9,7 @@ signal. Passing method=None runs the cover-vs-cover null experiment
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .bits import CapacityError, FRAME_BITS
-from .embed import EmbedConfig, embed, rate_capacity
+from .embed import DEFAULT_THRESHOLD, EmbedConfig, embed
 from .glcm import N_BANDS, band_features
 from .image import GrayImage
 from .rng import Rng, derive_seed
@@ -79,8 +80,15 @@ def accuracy(model: FisherDiscriminant, x: np.ndarray, y: np.ndarray) -> float:
 # experiments
 
 
+def rate_capacity(rate: float, n_pixels: int) -> int:
+    """Bit budget at a payload rate; floor(rate * n) with float-noise guard."""
+    return math.floor(rate * n_pixels + 1e-9)
+
+
 def _message_bits(rate: float, n_pixels: int, seed: int) -> np.ndarray:
-    budget = rate_capacity(rate, n_pixels)
+    if not rate <= 1.0:  # also nan; a rate <= 0 (even -inf) fails the frame check below
+        raise ValueError(f"rate must be in (0, 1], got {rate}")
+    budget = rate_capacity(max(rate, 0.0), n_pixels)
     if budget <= FRAME_BITS:
         raise CapacityError(
             f"rate {rate:g} on {n_pixels} pixels leaves no room for the 32-bit frame"
@@ -93,9 +101,8 @@ def _embed_for_experiment(image: GrayImage, method: str | None, rate: float,
     if method is None:  # null experiment: the "stego" image is the cover itself
         return image
     bits = _message_bits(rate, image.n_pixels, derive_seed(seed, image_index, _TAG_MESSAGE))
-    config = EmbedConfig(method=method, rate=rate, threshold=threshold,
-                         seed=derive_seed(seed, image_index, _TAG_EMBED),
-                         traversal="permuted")
+    config = EmbedConfig(method=method, threshold=threshold,
+                         seed=derive_seed(seed, image_index, _TAG_EMBED), traversal="permuted")
     return embed(image, bits, config)
 
 
@@ -119,7 +126,8 @@ def _mean_energies(x: np.ndarray) -> np.ndarray:
 
 
 def energy_experiment(corpus: Sequence[GrayImage], method: str | None, rate: float,
-                      threshold: int = 4, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+                      threshold: int = DEFAULT_THRESHOLD,
+                      seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-image (cover, stego) band energies averaged over DEFAULT_OFFSETS.
 
     Message bits are drawn per image from seeds derived off `seed`, so a
@@ -132,15 +140,13 @@ def energy_experiment(corpus: Sequence[GrayImage], method: str | None, rate: flo
     return list(zip(_mean_energies(cover_x), _mean_energies(stego_x)))
 
 
-def _split_accuracy(cover_x: np.ndarray, stego_x: np.ndarray, seed: int) -> float:
-    """Detection accuracy with a seeded half of the images training the FLD.
+def _split_accuracy(cover_x: np.ndarray, stego_x: np.ndarray, indices: np.ndarray) -> float:
+    """Detection accuracy with the first half of the shuffled images training the FLD.
 
     Both feature vectors of an image land on the same side of the split, so
     train and test stay balanced 50/50 between classes.
     """
-    n = len(cover_x)
-    indices = Rng(derive_seed(seed, _TAG_SPLIT)).shuffle(n)
-    n_train = round(n / 2)  # rounds half to even: 21 images train on 10
+    n_train = round(len(indices) / 2)  # rounds half to even: 21 images train on 10
 
     def labelled(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.concatenate([cover_x[idx], stego_x[idx]]), np.repeat([0, 1], len(idx))
@@ -150,7 +156,7 @@ def _split_accuracy(cover_x: np.ndarray, stego_x: np.ndarray, seed: int) -> floa
 
 
 def detection_experiment(corpus: Sequence[GrayImage], method: str | None, rate: float,
-                         threshold: int = 4, seed: int = 0) -> float:
+                         threshold: int = DEFAULT_THRESHOLD, seed: int = 0) -> float:
     """Held-out detection accuracy (percent) of an FLD on band energies.
 
     The corpus needs at least 20 images; this is one benchmark cell.
@@ -181,22 +187,25 @@ class ReportRow:
 
 
 def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
-              rates: Sequence[float], threshold: int = 4, seed: int = 0) -> list[ReportRow]:
+              rates: Sequence[float], threshold: int = DEFAULT_THRESHOLD,
+              seed: int = 0) -> list[ReportRow]:
     """One report row per method x rate: mean energies plus detection rate.
 
-    Cover features do not depend on the cell, so they are computed once.
+    Cover features and the seeded train/test split do not depend on the
+    cell, so they are computed once.
     """
     if len(corpus) < 20:
         raise ValueError(f"corpus of {len(corpus)} images is too small; need at least 20")
     cover_x = _features(corpus)
     cover_e = _mean_energies(cover_x).mean(axis=0)
+    split = Rng(derive_seed(seed, _TAG_SPLIT)).shuffle(len(corpus))
     rows = []
     for method in methods:
         for rate in rates:
             stego_x = _stego_features(corpus, method, rate, threshold, seed)
             rows.append(ReportRow(method, rate, threshold, seed, len(corpus), cover_e,
                                   _mean_energies(stego_x).mean(axis=0),
-                                  _split_accuracy(cover_x, stego_x, seed)))
+                                  _split_accuracy(cover_x, stego_x, split)))
     return rows
 
 

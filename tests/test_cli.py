@@ -113,11 +113,14 @@ def test_missing_file_reports_error(tmp_path):
 
 
 def test_glcm_csv_sums_to_pair_count(tmp_path, cover_path):
+    # an offset at or beyond the 24-pixel side has no pairs: all 256x256 zeros
     out = tmp_path / "glcm.csv"
-    assert run("glcm", "--image", cover_path, "--offset", "1,0", "--out", out) == 0
-    rows = out.read_text().strip().split("\n")
-    total = sum(int(v) for row in rows for v in row.split(","))
-    assert total == (24 - 1) * 24
+    for offset, pairs in (("1,0", (24 - 1) * 24), ("0,24", 0), ("0,25", 0), ("-47,3", 0)):
+        assert run("glcm", "--image", cover_path, f"--offset={offset}", "--out", out) == 0
+        rows = out.read_text().strip().split("\n")
+        assert len(rows) == 256 and all(len(row.split(",")) == 256 for row in rows)
+        total = sum(int(v) for row in rows for v in row.split(","))
+        assert total == pairs
 
 
 def test_features_csv(tmp_path, cover_path):
@@ -150,6 +153,27 @@ def test_gen_corpus_and_bench(tmp_path):
                "--rates", "0.2,0.4,0.6,0.8", "--threshold", 4, "--seed", 7,
                "--out", report2) == 0
     assert report.read_bytes() == report2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("corpus")
+    assert run("gen-corpus", "--n", 20, "--size", "16x16", "--seed", 1, "--out", corpus) == 0
+    return corpus
+
+
+@pytest.mark.parametrize("rate, category", [
+    ("inf", "error"), ("nan", "error"), ("1.5", "error"), ("0", "capacity"), ("-inf", "capacity"),
+])
+def test_bench_bad_rate_reports_one_line(tmp_path, capsys, small_corpus, rate, category):
+    # a good cell first: the bad one still stops the run before the CSV is written
+    report = tmp_path / "report.csv"
+    assert run("bench", "--corpus", small_corpus, "--methods", "lsbm", f"--rates=0.5,{rate}",
+               "--seed", 1, "--out", report) == 1
+    line = {"error": f"error: rate must be in (0, 1], got {rate}",
+            "capacity": f"capacity: rate {rate} on 256 pixels leaves no room for the 32-bit frame"}
+    assert capsys.readouterr().err.splitlines() == [line[category]]
+    assert not report.exists()
 
 
 def test_gen_corpus_is_deterministic(tmp_path):
