@@ -159,8 +159,14 @@ def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> Gray
     improved methods walk the changes in order, since each vote reads the
     pixels changed before it.
     """
+    return _embed(cover, frame_bits(message), config,
+                  traversal_order(cover, config.traversal, Rng(config.seed)))
+
+
+def _embed(cover: GrayImage, framed: np.ndarray, config: EmbedConfig,
+           order: np.ndarray) -> GrayImage:
+    """embed, given the framed bits and the config's full traversal order; writes neither."""
     pairwise = config.method.startswith("lsbmr")
-    framed = frame_bits(message)
     capacity = 2 * (cover.n_pixels // 2) if pairwise else cover.n_pixels
     if len(framed) > capacity:
         raise CapacityError(
@@ -169,7 +175,7 @@ def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> Gray
         )
     if pairwise and len(framed) & 1:
         framed = np.append(framed, np.uint8(0))  # pad to a whole pair; the frame length ignores it
-    order = traversal_order(cover, config.traversal, Rng(config.seed))[: len(framed)]
+    order = order[: len(framed)]
     flat = cover.pixels.ravel()
     pixels, new = _plan(order, flat[order], framed, pairwise)
     free = new == _FREE

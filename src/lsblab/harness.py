@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .bits import CapacityError, FRAME_BITS
-from .embed import DEFAULT_THRESHOLD, EmbedConfig, embed
+from .bits import CapacityError, FRAME_BITS, frame_bits
+from .embed import DEFAULT_THRESHOLD, EmbedConfig, _embed, embed
 from .glcm import N_BANDS, band_features
-from .image import GrayImage
+from .image import GrayImage, traversal_order
 from .rng import Rng, derive_seed
 
 # stream tags for per-image child seeds, so message bits, embedding coins
@@ -101,9 +101,12 @@ def _embed_for_experiment(image: GrayImage, method: str | None, rate: float,
     if method is None:  # null experiment: the "stego" image is the cover itself
         return image
     bits = _message_bits(rate, image.n_pixels, derive_seed(seed, image_index, _TAG_MESSAGE))
-    config = EmbedConfig(method=method, threshold=threshold,
-                         seed=derive_seed(seed, image_index, _TAG_EMBED), traversal="permuted")
-    return embed(image, bits, config)
+    return embed(image, bits, _experiment_config(method, threshold, image_index, seed))
+
+
+def _experiment_config(method: str, threshold: int, image_index: int, seed: int) -> EmbedConfig:
+    return EmbedConfig(method=method, threshold=threshold,
+                       seed=derive_seed(seed, image_index, _TAG_EMBED), traversal="permuted")
 
 
 def _features(images: Sequence[GrayImage]) -> np.ndarray:
@@ -111,13 +114,6 @@ def _features(images: Sequence[GrayImage]) -> np.ndarray:
     if len(images) == 0:
         raise ValueError("corpus must be non-empty")
     return np.stack([band_features(image) for image in images])
-
-
-def _stego_features(corpus: Sequence[GrayImage], method: str | None, rate: float,
-                    threshold: int, seed: int) -> np.ndarray:
-    """Feature rows of one cell's stego images, in corpus order."""
-    return _features([_embed_for_experiment(image, method, rate, threshold, i, seed)
-                      for i, image in enumerate(corpus)])
 
 
 def _mean_energies(x: np.ndarray) -> np.ndarray:
@@ -136,7 +132,8 @@ def energy_experiment(corpus: Sequence[GrayImage], method: str | None, rate: flo
     a per-image keyed permutation, the usual operating posture.
     """
     cover_x = _features(corpus)
-    stego_x = _stego_features(corpus, method, rate, threshold, seed)
+    stego_x = _features([_embed_for_experiment(image, method, rate, threshold, i, seed)
+                         for i, image in enumerate(corpus)])
     return list(zip(_mean_energies(cover_x), _mean_energies(stego_x)))
 
 
@@ -191,29 +188,42 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
               seed: int = 0) -> list[ReportRow]:
     """One report row per method x rate: mean energies plus detection rate.
 
-    Cover features and the seeded train/test split do not depend on the
-    cell, so they are computed once.
+    The work that depends only on an image is done once per call, not once
+    per cell: its cover features, its keyed permutation (one shuffle, shared
+    by every method and rate) and its framed message at each rate (shared by
+    every method). A null cell reuses the cover features. The train/test
+    split is drawn once. Nothing is kept between calls.
     """
     if len(corpus) < 20:
         raise ValueError(f"corpus of {len(corpus)} images is too small; need at least 20")
     cover_x = _features(corpus)
+    cells = [(method, rate) for method in methods for rate in rates]
+    stego_x = np.empty((len(cells),) + cover_x.shape)
+    for i, image in enumerate(corpus):
+        order, framed = None, {}
+        for c, (method, rate) in enumerate(cells):
+            if method is None:  # null experiment: the "stego" image is the cover itself
+                stego_x[c, i] = cover_x[i]
+                continue
+            if rate not in framed:
+                message_seed = derive_seed(seed, i, _TAG_MESSAGE)
+                framed[rate] = frame_bits(_message_bits(rate, image.n_pixels, message_seed))
+            config = _experiment_config(method, threshold, i, seed)
+            if order is None:
+                order = traversal_order(image, config.traversal, Rng(config.seed))
+            stego_x[c, i] = band_features(_embed(image, framed[rate], config, order))
     cover_e = _mean_energies(cover_x).mean(axis=0)
     split = Rng(derive_seed(seed, _TAG_SPLIT)).shuffle(len(corpus))
-    rows = []
-    for method in methods:
-        for rate in rates:
-            stego_x = _stego_features(corpus, method, rate, threshold, seed)
-            rows.append(ReportRow(method, rate, threshold, seed, len(corpus), cover_e,
-                                  _mean_energies(stego_x).mean(axis=0),
-                                  _split_accuracy(cover_x, stego_x, split)))
-    return rows
+    return [ReportRow(method, rate, threshold, seed, len(corpus), cover_e,
+                      _mean_energies(x).mean(axis=0), _split_accuracy(cover_x, x, split))
+            for (method, rate), x in zip(cells, stego_x)]
 
 
 def report_csv(rows: Sequence[ReportRow]) -> str:
     """Deterministic CSV with the fixed header; same rows, same bytes."""
     lines = [REPORT_HEADER]
     for r in rows:
-        cells = [r.method, f"{r.rate:g}", str(r.threshold), str(r.seed), str(r.n_images)]
+        cells = [str(r.method), f"{r.rate:g}", str(r.threshold), str(r.seed), str(r.n_images)]
         cells.extend(f"{v:.6f}" for v in r.cover_energies)
         cells.extend(f"{v:.6f}" for v in r.stego_energies)
         cells.append(f"{r.detect_pct:.2f}")

@@ -21,7 +21,13 @@ from lsblab.embed import (
     neighbor_vote,
 )
 from lsblab.glcm import cooccurrence
-from lsblab.harness import detection_experiment, energy_experiment, rate_capacity, synthetic_corpus
+from lsblab.harness import (
+    benchmark,
+    detection_experiment,
+    energy_experiment,
+    rate_capacity,
+    synthetic_corpus,
+)
 from lsblab.image import GrayImage
 from lsblab.rng import Rng, derive_seed
 
@@ -180,11 +186,12 @@ def test_detection_trend():
     with criterion(name):
         corpus = synthetic_corpus(400, 40, 40, seed=TABLE1_CORPUS_SEED,
                                   texture=1.5, noise=0.4)
-        acc = {}
-        for method in METHODS:
-            runs = [detection_experiment(corpus, method, 0.8, threshold=4, seed=s)
-                    for s in TABLE1_SEEDS]
-            acc[method] = float(np.mean(runs))
+        # one benchmark per seed: the four methods share each image's permutation
+        runs = {method: [] for method in METHODS}
+        for s in TABLE1_SEEDS:
+            for row in benchmark(corpus, METHODS, [0.8], 4, s):
+                runs[row.method].append(row.detect_pct)
+        acc = {method: float(np.mean(runs[method])) for method in METHODS}
         print(f"\n    accuracies: " + "  ".join(f"{m}={acc[m]:.1f}" for m in METHODS))
         assert acc["lsbm"] - acc["lsbm_improved"] >= 5.0
         assert acc["lsbmr"] - acc["lsbmr_improved"] >= 5.0

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
+import lsblab.harness
 from lsblab.bits import CapacityError
+from lsblab.embed import EmbedConfig, embed
+from lsblab.glcm import band_features
 from lsblab.harness import (
     ReportRow,
+    _mean_energies,
+    _message_bits,
+    _split_accuracy,
     accuracy,
     benchmark,
     detection_experiment,
@@ -11,9 +17,11 @@ from lsblab.harness import (
     report_csv,
     report_svg,
     synthetic_corpus,
+    synthetic_image,
     train_fld,
 )
 from lsblab.image import GrayImage
+from lsblab.rng import Rng, derive_seed
 
 
 def xy(rows):
@@ -174,6 +182,88 @@ def test_benchmark_arity_and_determinism():
     assert len(report) == 4
     again = benchmark(corpus, ["lsbm", "lsbm_improved"], [0.4, 0.8], seed=18)
     assert report_csv(report) == report_csv(again)
+
+
+def reference_benchmark(corpus, methods, rates, threshold, seed):
+    """The method-outer loop: every cell embeds every image from scratch through embed.
+
+    Child seeds use the harness's stream tags: 0 message, 1 embed, 2 split.
+    """
+    cover_x = np.stack([band_features(image) for image in corpus])
+    split = Rng(derive_seed(seed, 2)).shuffle(len(corpus))
+    rows = []
+    for method in methods:
+        for rate in rates:
+            stegos = []
+            for i, image in enumerate(corpus):
+                if method is None:
+                    stegos.append(image)
+                    continue
+                bits = _message_bits(rate, image.n_pixels, derive_seed(seed, i, 0))
+                config = EmbedConfig(method, threshold, derive_seed(seed, i, 1), "permuted")
+                stegos.append(embed(image, bits, config))
+            stego_x = np.stack([band_features(image) for image in stegos])
+            rows.append(ReportRow(method, rate, threshold, seed, len(corpus),
+                                  _mean_energies(cover_x).mean(axis=0),
+                                  _mean_energies(stego_x).mean(axis=0),
+                                  _split_accuracy(cover_x, stego_x, split)))
+    return rows
+
+
+# sizes cycle through even, odd (15 x 9 = 135 pixels) and non-square covers
+MIXED_SIZES = ((24, 24), (15, 9), (32, 20), (17, 17), (40, 12))
+
+
+def mixed_corpus(seed):
+    return [synthetic_image(*MIXED_SIZES[i % len(MIXED_SIZES)], seed=seed + i) for i in range(20)]
+
+
+@pytest.mark.parametrize("threshold", [0, 4, 300])
+@pytest.mark.parametrize("methods, rates", [
+    ([None, "lsbm", "lsbm_improved", "lsbm"], [1.0, 0.4, 1.0]),
+    (["lsbmr", None, "lsbmr_improved", "lsbmr_improved"], [0.6, 0.3, 0.6]),
+])
+def test_benchmark_matches_per_cell_reference(methods, rates, threshold):
+    corpus = mixed_corpus(19)
+    got = benchmark(corpus, methods, rates, threshold, seed=20)
+    want = reference_benchmark(corpus, methods, rates, threshold, seed=20)
+    assert report_csv(got) == report_csv(want)
+    assert report_svg(got) == report_svg(want)
+
+
+def test_benchmark_capacity_error_matches_per_cell_reference():
+    # lsbmr cannot carry a full-rate message on an odd pixel count
+    corpus = mixed_corpus(21)
+    errors = []
+    for run in (benchmark, reference_benchmark):
+        with pytest.raises(CapacityError) as info:
+            run(corpus, [None, "lsbm", "lsbmr"], [0.5, 1.0], 4, 22)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert "135 bits exceeds capacity 134" in errors[0]
+
+
+@pytest.mark.parametrize("methods, rates, non_null_cells", [
+    ([None, "lsbm", "lsbmr_improved"], [0.4, 0.8, 0.4], 6),
+    ([None], [0.5, 0.9], 0),
+])
+def test_benchmark_shuffles_once_per_image(monkeypatch, methods, rates, non_null_cells):
+    calls = {"shuffle": 0, "band_features": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Rng, "shuffle", counted("shuffle", Rng.shuffle))
+    monkeypatch.setattr(lsblab.harness, "band_features",
+                        counted("band_features", lsblab.harness.band_features))
+    n = 20
+    benchmark(synthetic_corpus(n, 16, 16, seed=23), methods, rates, seed=24)
+    # one permutation per image when any cell embeds, plus the train/test split
+    assert calls["shuffle"] == (n + 1 if non_null_cells else 1)
+    assert calls["band_features"] == n * (1 + non_null_cells)
 
 
 def test_report_svg_is_valid_and_deterministic():
