@@ -16,10 +16,15 @@ from the live, partially embedded raster, so earlier-visited pixels vote
 with their post-change values. The variants write the same code, so
 extract decodes every method of a family.
 
-The walk keeps that raster with a one-pixel border of -1024, so the vote
-reads eight fixed offsets with no bounds checks. It caps T at 256: real
-neighbors differ by at most 255, so every T >= 256 admits all of them and
-no border pixel, which stays at least 1024 away from any center.
+The changes are settled in runs: maximal stretches of the visiting order
+in which no free change neighbors an earlier change of its run, so a run
+votes on arrays against the raster as it stood before it. At T <= 1 every
+vote ties: the baselines (T = 0) are one run. Short runs, as in raster
+order, are walked one change at a time (_step).
+
+The raster has a one-pixel border of -1024, so the vote reads eight fixed
+offsets with no bounds checks. T is capped at 256: real neighbors differ
+by at most 255, so every T >= 256 admits all of them and no border pixel.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ def neighbor_vote(out: list, p: int, stride: int, threshold: int) -> tuple[int, 
     the eight neighbors sit at fixed offsets from p. Only neighbors strictly
     closer than `threshold` to the center vote; each sum adds the absolute
     differences between the voters and the center after a -1 or a +1 step.
-    The border never votes as long as threshold <= 256, which embed ensures.
+    The border never votes as long as threshold <= 256.
     """
     c = out[p]
     sad_minus = 0
@@ -109,9 +114,9 @@ def _step(out: list, p: int, stride: int, threshold: int, coins) -> int:
 _BORDER = -1024  # differs from every pixel value 0..255 by at least 1024
 
 
-def _bordered(pixels: np.ndarray) -> list:
-    """The raster as a flat list with a one-pixel border of _BORDER, row stride width + 2."""
-    return np.pad(pixels.astype(np.int16), 1, constant_values=_BORDER).ravel().tolist()
+def _bordered(pixels: np.ndarray) -> np.ndarray:
+    """The raster as a flat int16 array with a one-pixel border of _BORDER, row stride width + 2."""
+    return np.pad(pixels.astype(np.int16), 1, constant_values=_BORDER).ravel()
 
 
 def _coins(seed: int, n: int) -> np.ndarray:
@@ -155,9 +160,8 @@ def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> Gray
 
     The changes are planned on whole arrays; only the free steps' directions
     are left open. Coins come from one draw of Rng(seed), one per coin-decided
-    step in visiting order. The baselines decide all free steps at once; the
-    improved methods walk the changes in order, since each vote reads the
-    pixels changed before it.
+    step in visiting order. The free steps are settled in runs (see the module
+    docstring): one run at T <= 1, one change at a time where runs are short.
     """
     return _embed(cover, frame_bits(message), config,
                   traversal_order(cover, config.traversal, Rng(config.seed)))
@@ -176,30 +180,75 @@ def _embed(cover: GrayImage, framed: np.ndarray, config: EmbedConfig,
     if pairwise and len(framed) & 1:
         framed = np.append(framed, np.uint8(0))  # pad to a whole pair; the frame length ignores it
     order = order[: len(framed)]
-    flat = cover.pixels.ravel()
-    pixels, new = _plan(order, flat[order], framed, pairwise)
+    pixels, new = _plan(order, cover.pixels.ravel()[order], framed, pairwise)
+    t = min(config.threshold, 256) if config.method.endswith("_improved") else 0
+    return _settle(cover, pixels, new, config.seed, t)
+
+
+_MIN_FREE_PER_RUN = 24  # a run on arrays costs about this many free changes through _step
+
+
+def _runs(at: np.ndarray, free: np.ndarray, around: np.ndarray, size: int) -> list[int] | None:
+    """Where each run of the changes at `at` starts, then len(at); None if runs are short.
+
+    around are the offsets a vote reads in a raster of `size` pixels. Short
+    means under _MIN_FREE_PER_RUN free changes per run: the scalar walk wins.
+    """
+    n, fi = len(at), np.flatnonzero(free).astype(np.int32)
+    dep = np.full(len(fi), -1, dtype=np.int32)  # latest earlier change among the neighbors
+    if len(around):
+        after = fi[fi > 0]  # one next to the change just before it always starts a run
+        runs = 1 + np.count_nonzero(np.isin(at[after] - at[after - 1], around))  # or more
+        if runs * _MIN_FREE_PER_RUN > len(fi):
+            return None
+        visit = np.full(size, -1, dtype=np.int32)
+        visit[at] = np.arange(n, dtype=np.int32)
+        q = at[free]
+        for offset in around.tolist():
+            seen = visit[q + offset]
+            np.maximum(dep, seen, out=dep, where=seen < fi)
+    reach = np.maximum.accumulate(dep)  # sorted: the first dep >= s reads the run at s
+    starts = [0]
+    while starts[-1] < n:
+        if len(starts) * _MIN_FREE_PER_RUN > len(fi):
+            return None
+        j = int(reach.searchsorted(np.int32(starts[-1])))  # a Python int would copy reach
+        starts.append(int(fi[j]) if j < len(fi) else n)
+    return starts
+
+
+def _settle(cover: GrayImage, pixels: np.ndarray, new: np.ndarray, seed: int, t: int) -> GrayImage:
+    """The cover with the planned changes made; t (at most 256) is the vote threshold."""
+    w, stride = cover.width, cover.width + 2
+    out = _bordered(cover.pixels)
+    # pixel y * w + x sits at (y + 1) * (w + 2) + x + 1 in the bordered raster
+    at = (pixels + 2 * (pixels // w) + w + 3).astype(np.int32)
     free = new == _FREE
-    if config.method.endswith("_improved"):
-        w, h = cover.width, cover.height
-        out = _bordered(cover.pixels)
-        # Real neighbors differ by at most 255, so every T >= 256 admits all of
-        # them, and the border, at least 1024 away, is never closer than 256.
-        t = min(config.threshold, 256)
-        coins = iter(_coins(config.seed, int(np.count_nonzero(free))).tolist())
-        # pixel y * w + x sits at (y + 1) * (w + 2) + x + 1 in the bordered list
-        for p, value in zip((pixels + 2 * (pixels // w) + w + 3).tolist(), new.tolist()):
-            out[p] = value if value != _FREE else out[p] + _step(out, p, w + 2, t, coins)
-        stego = np.asarray(out, dtype=np.int16).reshape(h + 2, w + 2)[1:-1, 1:-1]
-        return GrayImage(stego.astype(np.uint8))
-    # a free step moves a saturated pixel inward and any other by the next coin
-    values = flat[pixels[free]]
-    steps = np.where(values == 0, 1, -1).astype(np.int16)
-    coin_due = (values != 0) & (values != 255)
-    steps[coin_due] = _coins(config.seed, int(np.count_nonzero(coin_due)))
-    new[free] = values + steps
-    out = flat.copy()
-    out[pixels] = new
-    return GrayImage(out.reshape(cover.height, cover.width))
+    coins = _coins(seed, int(np.count_nonzero(free)))
+    around = np.array([-stride - 1, -stride, -stride + 1, -1, 1, stride - 1, stride, stride + 1]
+                      if t > 1 else [], dtype=np.int32)  # at T <= 1 every vote ties
+    starts = _runs(at, free, around, len(out))
+    if starts is None:
+        walk, draw = out.tolist(), iter(coins.tolist())
+        for p, value in zip(at.tolist(), new.tolist()):
+            walk[p] = value if value != _FREE else walk[p] + _step(walk, p, stride, t, draw)
+        out = np.asarray(walk, dtype=np.int16)
+    else:  # each run votes on the raster as it stood before the run, then writes
+        used = 0
+        for a, b in zip(starts, starts[1:]):
+            q = at[a:b][free[a:b]]
+            c = out[q]
+            d = c[:, None] - out[q[:, None] + around]
+            # |d - 1| - |d + 1| = -2 sign(d): step toward the side with more voters
+            step = -np.sign((np.sign(d) * ((d > -t) & (d < t))).sum(axis=1))
+            step[c == 0] = 1
+            step[c == 255] = -1
+            tie = np.flatnonzero(step == 0)
+            step[tie] = coins[used : used + len(tie)]
+            used += len(tie)
+            out[at[a:b]] = new[a:b]  # the free ones are overwritten next
+            out[q] = c + step
+    return GrayImage(out.reshape(-1, stride)[1:-1, 1:-1].astype(np.uint8))
 
 
 def extract(stego: GrayImage, config: EmbedConfig) -> np.ndarray:

@@ -85,9 +85,13 @@ def rate_capacity(rate: float, n_pixels: int) -> int:
     return math.floor(rate * n_pixels + 1e-9)
 
 
-def _message_bits(rate: float, n_pixels: int, seed: int) -> np.ndarray:
-    if not rate <= 1.0:  # also nan; a rate <= 0 (even -inf) fails the frame check below
+def _check_rate(rate: float) -> None:
+    if not rate <= 1.0:  # also nan; a rate <= 0 (even -inf) fails _message_bits' frame check
         raise ValueError(f"rate must be in (0, 1], got {rate}")
+
+
+def _message_bits(rate: float, n_pixels: int, seed: int) -> np.ndarray:
+    _check_rate(rate)
     budget = rate_capacity(max(rate, 0.0), n_pixels)
     if budget <= FRAME_BITS:
         raise CapacityError(
@@ -196,6 +200,8 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
     """
     if len(corpus) < 20:
         raise ValueError(f"corpus of {len(corpus)} images is too small; need at least 20")
+    for rate in rates:  # up front, since a null cell draws no message
+        _check_rate(rate)
     cover_x = _features(corpus)
     cells = [(method, rate) for method in methods for rate in rates]
     stego_x = np.empty((len(cells),) + cover_x.shape)

@@ -1,26 +1,32 @@
+import importlib
 import math
-import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from lsblab.bits import CapacityError, FramingError, bytes_to_bits, frame_bits
 from lsblab.embed import (
-    _FREE,
     EmbedConfig,
     _bordered,
     _coins,
     _plan,
+    _settle,
     _step,
     embed,
     extract,
     f_pair,
     neighbor_vote,
 )
+from lsblab.harness import synthetic_image
 from lsblab.image import GrayImage, traversal_order
 from lsblab.rng import Rng
+
+# the module itself: the package re-exports a function under the same name
+embed_module = importlib.import_module("lsblab.embed")
 
 
 def coins(seed):
@@ -79,7 +85,7 @@ def test_f_pair_on_uint8_arrays_matches_scalar():
 def bordered_at(rows, idx):
     """A block's bordered list as embed walks it, flat pixel idx's index in it, and its stride."""
     width = len(rows[0])
-    return _bordered(np.array(rows)), idx + 2 * (idx // width) + width + 3, width + 2
+    return _bordered(np.array(rows)).tolist(), idx + 2 * (idx // width) + width + 3, width + 2
 
 
 def test_mask_is_strict_inequality():
@@ -320,9 +326,16 @@ def test_improvement_is_sign_only_lsbmr():
         assert abs(int(imp.pixels.ravel()[idx]) - cover_flat[idx]) == 1
 
 
+METHODS = ("lsbm", "lsbmr", "lsbm_improved", "lsbmr_improved")
+
+
 @st.composite
 def edge_covers(draw):
-    """Covers at the edges: 1xN and Nx1 strips, odd pixel counts, saturated values."""
+    """Covers at the edges: 1xN and Nx1 strips, odd pixel counts, saturated values.
+
+    The narrow mid-range palette is there for the vote: most neighbors fall
+    within a small T of each other, and many sit exactly at it.
+    """
     shape = draw(st.sampled_from(["row", "column", "block"]), label="shape")
     if shape == "block":
         h = draw(st.integers(2, 9), label="h")
@@ -331,7 +344,8 @@ def edge_covers(draw):
         h, w = 1, draw(st.integers(34, 120), label="n")
         if shape == "column":
             h, w = w, h
-    palette = draw(st.sampled_from([(0, 255), (0, 1, 254, 255), tuple(range(256))]), label="palette")
+    palette = draw(st.sampled_from([(0, 255), (0, 1, 254, 255), tuple(range(256)),
+                                    tuple(range(100, 108))]), label="palette")
     raster = draw(st.lists(st.sampled_from(palette), min_size=w * h, max_size=w * h), label="raster")
     return GrayImage(np.array(raster, dtype=np.uint8).reshape(h, w))
 
@@ -342,9 +356,8 @@ def test_zero_threshold_improved_equals_baseline(data):
     # at T=0 no neighbor is strictly closer than the threshold, so the mask is
     # always empty; at T=1 only equal neighbors (d = 0) pass -1 < d < 1, and
     # each adds 1 to both sums, so every vote ties. Either way every free step
-    # takes the same coin as the baseline. The improved methods walk their
-    # plan in Python and the baselines run on whole arrays, so this checks one
-    # against the other, with payloads up to and exactly at capacity
+    # takes the same coin as the baseline, with payloads up to and exactly at
+    # capacity. The baselines settle at T=0, where the vote reads no neighbor
     cover = data.draw(edge_covers(), label="cover")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     traversal = data.draw(st.sampled_from(["raster", "permuted"]), label="traversal")
@@ -362,59 +375,9 @@ def test_zero_threshold_improved_equals_baseline(data):
         assert extract(plain, plain_cfg).tolist() == bits
 
 
-# the bounds-checked vote on the unbordered raster, as embed walked it before
-# the border: the slow reference for neighbor_vote, _step and the guided walk
-
-
-def reference_vote(flat, width, height, idx, threshold):
-    c = flat[idx]
-    x = idx % width
-    y = idx // width
-    sad_minus = 0
-    sad_plus = 0
-    for ny in (y - 1, y, y + 1):
-        if 0 <= ny < height:
-            row = ny * width
-            for nx in (x - 1, x, x + 1):
-                if (nx != x or ny != y) and 0 <= nx < width:
-                    d = c - flat[row + nx]
-                    if -threshold < d < threshold:
-                        sad_minus += abs(d - 1)
-                        sad_plus += abs(d + 1)
-    return sad_minus, sad_plus
-
-
-def reference_step(flat, width, height, idx, threshold, coins):
-    c = flat[idx]
-    if c == 0:
-        return 1
-    if c == 255:
-        return -1
-    sad_minus, sad_plus = reference_vote(flat, width, height, idx, threshold)
-    if sad_minus != sad_plus:
-        return 1 if sad_plus < sad_minus else -1
-    return next(coins)
-
-
-def reference_guided_embed(cover, bits, cfg):
-    framed = frame_bits(bits)
-    pairwise = cfg.method.startswith("lsbmr")
-    if pairwise and len(framed) & 1:
-        framed = np.append(framed, np.uint8(0))
-    order = traversal_order(cover, cfg.traversal, Rng(cfg.seed))[: len(framed)]
-    flat = cover.pixels.ravel()
-    pixels, new = _plan(order, flat[order], framed, pairwise)
-    out = flat.tolist()
-    w, h = cover.width, cover.height
-    coin_stream = iter(_coins(cfg.seed, int(np.count_nonzero(new == _FREE))).tolist())
-    for idx, value in zip(pixels.tolist(), new.tolist()):
-        if value == _FREE:
-            value = out[idx] + reference_step(out, w, h, idx, cfg.threshold, coin_stream)
-        out[idx] = value
-    return GrayImage(np.asarray(out, dtype=np.uint8).reshape(h, w))
-
-
-THRESHOLDS = st.one_of(st.sampled_from([0, 1, 4, 255, 256, 257, 10**9]), st.integers(0, 10**9))
+# small T puts a neighbor exactly at the threshold often enough to test the strict mask
+THRESHOLDS = st.one_of(st.sampled_from([0, 1, 4, 255, 256, 257, 10**9]), st.integers(2, 8),
+                       st.integers(0, 10**9))
 
 
 @settings(max_examples=150, deadline=None)
@@ -434,28 +397,98 @@ def test_bordered_vote_matches_bounds_checked_reference(data):
         out, p, stride = bordered_at(rows, idx)
         assert out[p] == flat[idx]
         assert (neighbor_vote(out, p, stride, min(threshold, 256))
-                == reference_vote(flat, w, h, idx, threshold))
+                == reference.vote(rows.tolist(), idx // w, idx % w, threshold))
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_bordered_walk_matches_bounds_checked_reference(data):
+    cover, bits, cfg = draw_case(data)
+    assert embed(cover, bits, cfg).pixels.tolist() == reference_embed(cover, bits, cfg)
+
+
+def draw_case(data):
+    """An edge cover, any method, traversal and T, and a payload up to or exactly at capacity."""
     cover = data.draw(edge_covers(), label="cover")
-    method = data.draw(st.sampled_from(["lsbm_improved", "lsbmr_improved"]), label="method")
+    method = data.draw(st.sampled_from(METHODS), label="method")
     cfg = EmbedConfig(method=method, threshold=data.draw(THRESHOLDS, label="threshold"),
                       seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
                       traversal=data.draw(st.sampled_from(["raster", "permuted"]), label="traversal"))
-    capacity = 2 * (cover.n_pixels // 2) if method == "lsbmr_improved" else cover.n_pixels
-    nbits = data.draw(st.integers(0, capacity - 32), label="nbits")
+    capacity = (2 * (cover.n_pixels // 2) if method.startswith("lsbmr") else cover.n_pixels) - 32
+    nbits = capacity if data.draw(st.booleans(), label="full") else \
+        data.draw(st.integers(0, capacity), label="nbits")
     bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits), label="bits")
-    assert embed(cover, bits, cfg) == reference_guided_embed(cover, bits, cfg)
+    return cover, bits, cfg
 
 
-def stdlib_order(n, seed, traversal):
-    order = list(range(n))
-    if traversal == "permuted":
-        random.Random(seed % 2**64).shuffle(order)
-    return order
+def reference_embed(cover, bits, cfg):
+    return reference.embed(cover.pixels.tolist(), bits, cfg.method, cfg.seed, cfg.traversal,
+                           cfg.threshold)
+
+
+def settle(cover, bits, cfg, min_free_per_run):
+    """_settle on embed's plan, with the array/scalar switch set to min_free_per_run.
+
+    0 settles every run on arrays; a huge value walks every change through _step.
+    """
+    framed = frame_bits(bits)
+    pairwise = cfg.method.startswith("lsbmr")
+    if pairwise and len(framed) & 1:
+        framed = np.append(framed, np.uint8(0))
+    order = traversal_order(cover, cfg.traversal, Rng(cfg.seed))[: len(framed)]
+    pixels, new = _plan(order, cover.pixels.ravel()[order], framed, pairwise)
+    t = min(cfg.threshold, 256) if cfg.method.endswith("_improved") else 0
+    with mock.patch.object(embed_module, "_MIN_FREE_PER_RUN", min_free_per_run):
+        return _settle(cover, pixels, new, cfg.seed, t).pixels.tolist()
+
+
+SWITCH = {"arrays": 0, "scalar": 10**9}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_settle_paths_match_reference(data):
+    # both sides of the run/scalar switch against the stdlib oracle
+    cover, bits, cfg = draw_case(data)
+    want = reference_embed(cover, bits, cfg)
+    for path, min_free_per_run in SWITCH.items():
+        assert settle(cover, bits, cfg, min_free_per_run) == want, path
+
+
+def greedy_runs(at, free, around):
+    """Run starts by definition: a free change next to a change of the current run starts one."""
+    starts, current = [0], set()
+    for i, (p, is_free) in enumerate(zip(at.tolist(), free.tolist())):
+        if is_free and any(p + offset in current for offset in around.tolist()):
+            starts.append(i)
+            current = set()
+        current.add(p)
+    return starts + [len(at)]
+
+
+@pytest.mark.parametrize("method", ["lsbm_improved", "lsbmr_improved"])
+def test_settle_paths_match_reference_on_many_runs(method):
+    # a smooth 128x128 cover at rate 0.8, permuted: the vote decides most
+    # steps, and the plan splits into many runs of many free changes each
+    cover = synthetic_image(128, 128, seed=31)
+    bits = Rng(32).bits(int(0.8 * cover.n_pixels) - 32).tolist()
+    cfg = EmbedConfig(method=method, threshold=4, seed=33, traversal="permuted")
+    runs = []
+    real_runs = embed_module._runs
+
+    def spy(*args):
+        runs.append((real_runs(*args), greedy_runs(*args[:3])))
+        return runs[-1][0]
+
+    with mock.patch.object(embed_module, "_runs", spy):
+        stego = embed(cover, bits, cfg)
+    starts, greedy = runs[0]
+    assert starts == greedy  # the switch chooses arrays here, with maximal runs
+    assert len(starts) > 40  # 124 runs for lsbm_improved, 48 for lsbmr_improved
+    want = reference_embed(cover, bits, cfg)
+    assert stego.pixels.tolist() == want
+    for path, min_free_per_run in SWITCH.items():
+        assert settle(cover, bits, cfg, min_free_per_run) == want, path
 
 
 @settings(max_examples=40, deadline=None)
@@ -469,28 +502,20 @@ def test_wire_contract_in_stdlib_terms(data):
     traversal = data.draw(st.sampled_from(["raster", "permuted"]), label="traversal")
     nbits = data.draw(st.integers(0, 2 * (cover.n_pixels // 2) - 32), label="nbits")
     bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits), label="bits")
-    order = stdlib_order(cover.n_pixels, seed, traversal)
-    framed = [int(b) for b in format(nbits, "032b")] + bits
-    pixels, coins = cover.pixels.ravel().tolist(), random.Random(seed % 2**64)
-    for idx, bit in zip(order, framed):
-        value = pixels[idx]
-        if value & 1 != bit:
-            if value in (0, 255):
-                pixels[idx] = 1 if value == 0 else 254
-            else:
-                pixels[idx] = value + (1 if coins.getrandbits(1) else -1)
-    cfg = EmbedConfig(method="lsbm", seed=seed, traversal=traversal)
-    stego = embed(cover, bits, cfg)
-    assert stego.pixels.ravel().tolist() == pixels
-    # the receiver side: pure stdlib decoding of both families
-    lsbs = [pixels[i] & 1 for i in order]
-    assert lsbs[32 : 32 + int("".join(map(str, lsbs[:32])), 2)] == bits
-    pair_stego = embed(cover, bits, EmbedConfig(method="lsbmr", seed=seed, traversal=traversal))
-    values = pair_stego.pixels.ravel().tolist()
-    pair_bits = []
-    for i1, i2 in zip(order[0::2], order[1::2]):
-        pair_bits += [values[i1] & 1, ((values[i1] >> 1) + values[i2]) & 1]
-    assert pair_bits[32 : 32 + int("".join(map(str, pair_bits[:32])), 2)] == bits
+    order = reference.visiting_order(cover.n_pixels, seed, traversal)
+    for family in ("lsbm", "lsbmr"):
+        stego = embed(cover, bits, EmbedConfig(method=family, seed=seed, traversal=traversal))
+        rows = reference.embed(cover.pixels.tolist(), bits, family, seed, traversal)
+        assert stego.pixels.tolist() == rows
+        # the receiver side: pure stdlib decoding
+        values = [v for row in rows for v in row]
+        if family == "lsbm":
+            read = [values[i] & 1 for i in order]
+        else:
+            read = []
+            for i1, i2 in zip(order[0::2], order[1::2]):
+                read += [values[i1] & 1, ((values[i1] >> 1) + values[i2]) & 1]
+        assert read[32 : 32 + int("".join(map(str, read[:32])), 2)] == bits
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +577,6 @@ def test_wrong_key_extraction_raises_or_differs(family, cover_name):
 
 # ---------------------------------------------------------------------------
 # round trips and distortion bounds
-
-
-METHODS = ("lsbm", "lsbmr", "lsbm_improved", "lsbmr_improved")
 
 
 @pytest.mark.parametrize("method", METHODS)

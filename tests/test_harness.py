@@ -266,6 +266,19 @@ def test_benchmark_shuffles_once_per_image(monkeypatch, methods, rates, non_null
     assert calls["band_features"] == n * (1 + non_null_cells)
 
 
+@pytest.mark.parametrize("methods", [[None], [None, "lsbm"]])
+@pytest.mark.parametrize("rate", [2.0, float("inf"), float("nan")])
+def test_benchmark_rejects_rate_above_one_before_any_cell(monkeypatch, methods, rate):
+    # a null cell draws no message, so only a check made up front rejects its rate;
+    # no image is featurized before the error
+    def no_features(image):
+        raise AssertionError("band_features called before the rate check")
+
+    monkeypatch.setattr(lsblab.harness, "band_features", no_features)
+    with pytest.raises(ValueError, match=r"rate must be in \(0, 1\], got"):
+        benchmark(synthetic_corpus(20, 16, 16, seed=25), methods, [0.5, rate], seed=26)
+
+
 def test_report_svg_is_valid_and_deterministic():
     svg = report_svg(sample_report())
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
