@@ -164,7 +164,7 @@ def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> Gray
     docstring): one run at T <= 1, one change at a time where runs are short.
     """
     return _embed(cover, frame_bits(message), config,
-                  traversal_order(cover, config.traversal, Rng(config.seed)))
+                  traversal_order(cover, config.traversal, config.seed))
 
 
 def _embed(cover: GrayImage, framed: np.ndarray, config: EmbedConfig,
@@ -258,7 +258,7 @@ def extract(stego: GrayImage, config: EmbedConfig) -> np.ndarray:
     f_pair(y1, y2) per visited pair. The 32-bit frame then says how many
     payload bits follow; they come back as a uint8 array.
     """
-    order = traversal_order(stego, config.traversal, Rng(config.seed))
+    order = traversal_order(stego, config.traversal, config.seed)
     values = stego.pixels.ravel()[order]
     if config.method.startswith("lsbmr"):
         m = len(values) // 2

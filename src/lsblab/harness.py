@@ -216,7 +216,7 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
                 framed[rate] = frame_bits(_message_bits(rate, image.n_pixels, message_seed))
             config = _experiment_config(method, threshold, i, seed)
             if order is None:
-                order = traversal_order(image, config.traversal, Rng(config.seed))
+                order = traversal_order(image, config.traversal, config.seed)
             stego_x[c, i] = band_features(_embed(image, framed[rate], config, order))
     cover_e = _mean_energies(cover_x).mean(axis=0)
     split = Rng(derive_seed(seed, _TAG_SPLIT)).shuffle(len(corpus))

@@ -130,16 +130,14 @@ def save_pgm(path, image: GrayImage) -> None:
         fh.write(write_pgm(image))
 
 
-def traversal_order(image: GrayImage, mode: str, rng: Rng | None = None) -> np.ndarray:
+def traversal_order(image: GrayImage, mode: str, seed: int) -> np.ndarray:
     """Pixel visiting order as int32 flat row-major indices; a bijection over all pixels.
 
     "raster" visits 0..N-1 in order. "permuted" is the Fisher-Yates order
-    rng.shuffle draws, so sender and receiver sharing a seed agree.
+    Rng(seed).shuffle draws, so sender and receiver sharing a seed agree.
     """
     if mode == "raster":
         return np.arange(image.n_pixels, dtype=np.int32)
     if mode == "permuted":
-        if rng is None:
-            raise ValueError("permuted traversal requires an rng")
-        return rng.shuffle(image.n_pixels)
+        return Rng(seed).shuffle(image.n_pixels)
     raise ValueError(f"unknown traversal mode: {mode!r}")

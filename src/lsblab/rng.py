@@ -10,7 +10,8 @@ whole arrays of words at once:
   list(range(n)) in. Its randrange(m) draws take the top m.bit_length()
   bits of a word and draw again while those are >= m.
 
-So a receiver with nothing but the stdlib can reproduce every stream.
+The generator alone holds the stream's position, and after every call it sits
+where the stdlib's would, so a receiver with only the stdlib rebuilds each stream.
 """
 
 from __future__ import annotations
@@ -33,22 +34,13 @@ class Rng:
     """
 
     def __init__(self, seed: int) -> None:
-        self.seed = seed & _MASK64
-        self._random = random.Random(self.seed)
-        self._ahead = np.empty(0, dtype=np.uint32)  # drawn but not yet spent, oldest first
+        self._random = random.Random(seed & _MASK64)
 
     def _words(self, n: int) -> np.ndarray:
         """The next n 32-bit outputs of the generator."""
-        ahead, self._ahead = self._ahead[:n], self._ahead[n:]
-        k = n - len(ahead)
-        # getrandbits(32 * k) packs k successive words, the first one least significant
-        raw = self._random.getrandbits(32 * k).to_bytes(4 * k, "little")
-        fresh = np.frombuffer(raw, dtype="<u4").astype(np.uint32, copy=False)
-        return np.concatenate((ahead, fresh)) if len(ahead) else fresh
-
-    def _put_back(self, words) -> None:
-        """Return unspent words to the front of the stream."""
-        self._ahead = np.concatenate((np.asarray(words, dtype=np.uint32), self._ahead))
+        # getrandbits(32 * n) packs n successive words, the first one least significant
+        raw = self._random.getrandbits(32 * n).to_bytes(4 * n, "little")
+        return np.frombuffer(raw, dtype="<u4").astype(np.uint32, copy=False)
 
     def bits(self, n: int) -> np.ndarray:
         """n fair bits (uint8): successive getrandbits(1) values."""
@@ -72,6 +64,8 @@ class Rng:
         draws = np.empty(max(n - 1, 0), dtype=np.int32)
         t, vector_end = 0, max(n - 1 - _TAIL, 0)
         while t < vector_end:
+            if vector_end - t <= _WINDOW:  # it may be the last window: note where it starts
+                state = self._random.getstate()
             # Word q of the window serves draw t + (words accepted before q). Iterate
             # that count to a fixed point: if two rounds first disagree at word d,
             # the newer one is exact up to and including d, so each round extends
@@ -90,22 +84,18 @@ class Rng:
             taken = np.flatnonzero(accept)[: vector_end - t]
             draws[t : t + len(taken)] = words[taken] >> shift[: len(taken)]
             t += len(taken)
-            if t == vector_end:
-                self._put_back(words[taken[-1] + 1 :])
-        # the last draws reject often and change bound every step: one at a time
-        words, used = self._words(2 * (len(draws) - t) + 16).tolist(), 0
-        for bound in range(n - t, 1, -1):
-            shift = 32 - bound.bit_length()
-            while True:
-                if used == len(words):
-                    words += self._words(len(words)).tolist()
-                r = words[used] >> shift
-                used += 1
-                if r < bound:
-                    break
-            draws[t] = r
-            t += 1
-        self._put_back(words[used:])
+        if vector_end:  # rewind to the last window's start, then spend just the words it used
+            self._random.setstate(state)
+            self._random.getrandbits(32 * (int(taken[-1]) + 1))
+        # the last draws reject often and change bound every step: one by one, by randrange's rule
+        getrandbits, tail = self._random.getrandbits, []
+        for m in range(n - t, 1, -1):
+            k = m.bit_length()
+            r = getrandbits(k)
+            while r >= m:
+                r = getrandbits(k)
+            tail.append(r)
+        draws[t:] = tail
         return draws
 
 

@@ -435,7 +435,7 @@ def settle(cover, bits, cfg, min_free_per_run):
     pairwise = cfg.method.startswith("lsbmr")
     if pairwise and len(framed) & 1:
         framed = np.append(framed, np.uint8(0))
-    order = traversal_order(cover, cfg.traversal, Rng(cfg.seed))[: len(framed)]
+    order = traversal_order(cover, cfg.traversal, cfg.seed)[: len(framed)]
     pixels, new = _plan(order, cover.pixels.ravel()[order], framed, pairwise)
     t = min(cfg.threshold, 256) if cfg.method.endswith("_improved") else 0
     with mock.patch.object(embed_module, "_MIN_FREE_PER_RUN", min_free_per_run):

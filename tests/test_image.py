@@ -17,7 +17,6 @@ from lsblab.image import (
     traversal_order,
     write_pgm,
 )
-from lsblab.rng import Rng
 
 
 def test_read_minimal():
@@ -89,13 +88,13 @@ def test_file_helpers_roundtrip(tmp_path):
 
 def test_traversal_raster():
     img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
-    assert traversal_order(img, "raster").tolist() == [0, 1, 2, 3]
+    assert traversal_order(img, "raster", 5).tolist() == [0, 1, 2, 3]
 
 
 def test_traversal_permuted_is_seeded_bijection():
     img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
-    a = traversal_order(img, "permuted", Rng(5)).tolist()
-    b = traversal_order(img, "permuted", Rng(5)).tolist()
+    a = traversal_order(img, "permuted", 5).tolist()
+    b = traversal_order(img, "permuted", 5).tolist()
     assert a == b
     assert sorted(a) == list(range(64))
     assert a != list(range(64))
@@ -104,7 +103,7 @@ def test_traversal_permuted_is_seeded_bijection():
 def test_traversal_unknown_mode():
     img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
-        traversal_order(img, "spiral")
+        traversal_order(img, "spiral", 5)
 
 
 # ---------------------------------------------------------------------------

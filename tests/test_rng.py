@@ -52,7 +52,10 @@ def test_derive_seed_is_stable_and_spreads():
 # differential: the bulk engine against the stdlib generator it reproduces
 
 MASK64 = (1 << 64) - 1
-EDGE_SIZES = sorted({m for k in range(13) for m in (2**k - 1, 2**k, 2**k + 1) if m >= 1})
+# powers of two and their neighbours; 258 and 259 draw once or twice on arrays before
+# the 256-draw tail, 4353 and 4354 make a vectorised stage of 4096 and 4097 draws
+EDGE_SIZES = sorted({m for k in range(13) for m in (2**k - 1, 2**k, 2**k + 1) if m >= 1}
+                    | {258, 259, 4353, 4354})
 SEEDS = st.one_of(st.sampled_from([0, MASK64]), st.integers(0, 2**70))
 
 
@@ -82,14 +85,20 @@ def test_bits_are_successive_getrandbits(n, seed):
     assert Rng(seed).bits(n).tolist() == [reference.getrandbits(1) for _ in range(n)]
 
 
+CALLS = st.tuples(st.sampled_from(["bits", "shuffle"]),
+                  st.one_of(st.integers(0, 1500), st.sampled_from(EDGE_SIZES)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(sizes=st.lists(st.integers(0, 1500), min_size=1, max_size=4),
-       n_bits=st.integers(0, 100), seed=SEEDS)
-def test_stream_continues_where_the_stdlib_would(sizes, n_bits, seed):
-    # shuffles draw words ahead; the unspent ones must come back in order
+@given(calls=st.lists(CALLS, min_size=1, max_size=5), seed=SEEDS)
+def test_stream_continues_where_the_stdlib_would(calls, seed):
+    # after every call the generator sits where the stdlib's does after the same calls
     rng, reference = Rng(seed), random.Random(seed & MASK64)
-    for n in sizes:
-        order = list(range(n))
-        reference.shuffle(order)
-        assert rng.shuffle(n).tolist() == order
-    assert rng.bits(n_bits).tolist() == [reference.getrandbits(1) for _ in range(n_bits)]
+    for kind, n in calls:
+        if kind == "bits":
+            assert rng.bits(n).tolist() == [reference.getrandbits(1) for _ in range(n)]
+        else:
+            order = list(range(n))
+            reference.shuffle(order)
+            assert rng.shuffle(n).tolist() == order
+    assert rng._random.getstate() == reference.getstate()
