@@ -17,10 +17,14 @@ with their post-change values. The variants write the same code, so
 extract decodes every method of a family.
 
 The changes are settled in runs: maximal stretches of the visiting order
-in which no free change neighbors an earlier change of its run, so a run
-votes on arrays against the raster as it stood before it. At T <= 1 every
-vote ties: the baselines (T = 0) are one run. Short runs, as in raster
-order, are walked one change at a time (_step).
+in which no free change neighbors an earlier change of its run other than
+the change planned just before it. A run votes on arrays against the raster
+as it stood before it, except that a chained change, one next to the change
+just before it in its run (in raster order, its left neighbor), counts that
+change's new value: a fixed one, or whichever of a free step's -1 and +1
+one scan in visiting order finds taken. So a raster-order run is about one
+image row. At T <= 1 every vote ties: the baselines (T = 0) are one run.
+Short runs, as on narrow covers, are walked one change at a time (_step).
 
 The raster has a one-pixel border of -1024, so the vote reads eight fixed
 offsets with no bounds checks. T is capped at 256: real neighbors differ
@@ -161,7 +165,8 @@ def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> Gray
     The changes are planned on whole arrays; only the free steps' directions
     are left open. Coins come from one draw of Rng(seed), one per coin-decided
     step in visiting order. The free steps are settled in runs (see the module
-    docstring): one run at T <= 1, one change at a time where runs are short.
+    docstring): one run at T <= 1, about one image row per run in raster
+    order, one change at a time where runs are short.
     """
     return _embed(cover, frame_bits(message), config,
                   traversal_order(cover, config.traversal, config.seed))
@@ -185,40 +190,51 @@ def _embed(cover: GrayImage, framed: np.ndarray, config: EmbedConfig,
     return _settle(cover, pixels, new, config.seed, t)
 
 
-_MIN_FREE_PER_RUN = 24  # a run on arrays costs about this many free changes through _step
+_MIN_FREE_PER_RUN = 24  # a run on arrays costs about this many unlinked free changes through _step
 
 
-def _runs(at: np.ndarray, free: np.ndarray, around: np.ndarray, size: int) -> list[int] | None:
+def _runs(at: np.ndarray, free: np.ndarray, linked: np.ndarray, around: np.ndarray,
+          size: int) -> list[int] | None:
     """Where each run of the changes at `at` starts, then len(at); None if runs are short.
 
-    around are the offsets a vote reads in a raster of `size` pixels. Short
-    means under _MIN_FREE_PER_RUN free changes per run: the scalar walk wins.
+    A free change starts a run when it neighbors a change of the current run
+    other than the one planned just before it. around are the offsets a vote
+    reads in a raster of `size` pixels; linked marks the free changes next to
+    the change before them. Short means under _MIN_FREE_PER_RUN unlinked free
+    changes per run: the scalar walk wins. Linked ones do not count, as a run
+    with chained changes costs about twice one without.
     """
     n, fi = len(at), np.flatnonzero(free).astype(np.int32)
-    dep = np.full(len(fi), -1, dtype=np.int32)  # latest earlier change among the neighbors
+    unlinked = len(fi) - np.count_nonzero(linked)
+    dep = np.full(len(fi), -1, dtype=np.int32)  # latest earlier neighboring change but i - 1
     if len(around):
-        after = fi[fi > 0]  # one next to the change just before it always starts a run
-        runs = 1 + np.count_nonzero(np.isin(at[after] - at[after - 1], around))  # or more
-        if runs * _MIN_FREE_PER_RUN > len(fi):
-            return None
         visit = np.full(size, -1, dtype=np.int32)
         visit[at] = np.arange(n, dtype=np.int32)
         q = at[free]
         for offset in around.tolist():
             seen = visit[q + offset]
-            np.maximum(dep, seen, out=dep, where=seen < fi)
+            np.maximum(dep, seen, out=dep, where=seen < fi - 1)
     reach = np.maximum.accumulate(dep)  # sorted: the first dep >= s reads the run at s
     starts = [0]
     while starts[-1] < n:
-        if len(starts) * _MIN_FREE_PER_RUN > len(fi):
+        if len(starts) * _MIN_FREE_PER_RUN > unlinked:
             return None
         j = int(reach.searchsorted(np.int32(starts[-1])))  # a Python int would copy reach
         starts.append(int(fi[j]) if j < len(fi) else n)
     return starts
 
 
+def _pull(d: np.ndarray, t: int) -> np.ndarray:
+    """sign(d) where |d| < t: half of one voter's term in sad_minus - sad_plus (neighbor_vote)."""
+    return np.sign(d) * ((d > -t) & (d < t))
+
+
 def _settle(cover: GrayImage, pixels: np.ndarray, new: np.ndarray, seed: int, t: int) -> GrayImage:
-    """The cover with the planned changes made; t (at most 256) is the vote threshold."""
+    """The cover with the planned changes made; t (at most 256) is the vote threshold.
+
+    A run (see _runs) votes with one gather; chained changes then vote on
+    arrays, and by one scan where a free predecessor's step decides.
+    """
     w, stride = cover.width, cover.width + 2
     out = _bordered(cover.pixels)
     # pixel y * w + x sits at (y + 1) * (w + 2) + x + 1 in the bordered raster
@@ -227,27 +243,57 @@ def _settle(cover: GrayImage, pixels: np.ndarray, new: np.ndarray, seed: int, t:
     coins = _coins(seed, int(np.count_nonzero(free)))
     around = np.array([-stride - 1, -stride, -stride + 1, -1, 1, stride - 1, stride, stride + 1]
                       if t > 1 else [], dtype=np.int32)  # at T <= 1 every vote ties
-    starts = _runs(at, free, around, len(out))
+    linked = np.zeros(len(at), dtype=bool)  # a free change next to the change before it
+    if t > 1:  # neighbors sit 1, stride - 1, stride or stride + 1 apart
+        gap = np.abs(np.diff(at))
+        linked[1:] = free[1:] & ((gap == 1) | (np.abs(gap - stride) <= 1))
+    starts = _runs(at, free, linked, around, len(out))
     if starts is None:
         walk, draw = out.tolist(), iter(coins.tolist())
         for p, value in zip(at.tolist(), new.tolist()):
             walk[p] = value if value != _FREE else walk[p] + _step(walk, p, stride, t, draw)
         out = np.asarray(walk, dtype=np.int16)
-    else:  # each run votes on the raster as it stood before the run, then writes
-        used = 0
-        for a, b in zip(starts, starts[1:]):
-            q = at[a:b][free[a:b]]
-            c = out[q]
-            d = c[:, None] - out[q[:, None] + around]
-            # |d - 1| - |d + 1| = -2 sign(d): step toward the side with more voters
-            step = -np.sign((np.sign(d) * ((d > -t) & (d < t))).sum(axis=1))
-            step[c == 0] = 1
-            step[c == 255] = -1
-            tie = np.flatnonzero(step == 0)
-            step[tie] = coins[used : used + len(tie)]
-            used += len(tie)
-            out[at[a:b]] = new[a:b]  # the free ones are overwritten next
-            out[q] = c + step
+        return GrayImage(out.reshape(-1, stride)[1:-1, 1:-1].astype(np.uint8))
+    # each run votes on the raster as it stood before the run, then writes. A
+    # chained change neighbors the change planned just before it, in its run:
+    # its vote takes that change's new value, or both candidates if it is free
+    linked[starts[:-1]] = False  # a run's first change reads its predecessor as written
+    used = 0
+    chains = np.logical_or.reduceat(linked, starts[:-1]).tolist()  # the runs with chained changes
+    for a, b, chain in zip(starts, starts[1:], chains):
+        q = at[a:b][free[a:b]]
+        c = out[q]
+        score = _pull(c[:, None] - out[q[:, None] + around], t).sum(axis=1)
+        score[c == 0] = -9  # saturated pixels step inward: eight voters never outweigh 9
+        score[c == 255] = 9
+        step = -np.sign(score)
+        tie = step == 0
+        if chain:
+            i = a + free[a:b].nonzero()[0]
+            chained = linked[i].nonzero()[0]
+            prev, cc = i[chained] - 1, c[chained]
+            was = out[at[prev]]
+            rest = score[chained] - _pull(cc - was, t)  # the predecessor as it stood
+            known = new[prev][:, None]  # its new value: fixed, or after a -1 and after a +1 step
+            after = np.where(known == _FREE, was[:, None] + [-1, 1], known)
+            down, up = -np.sign(rest[:, None] + _pull(cc[:, None] - after, t)).T
+            step[chained], tie[chained] = down, (down == 0) & (up == 0)
+            scan = (down != up).nonzero()[0]  # the predecessor's step decides
+            if len(scan):  # a tie takes the coin after all the run's earlier ties
+                s, before = step.tolist(), (np.cumsum(tie) - tie).tolist()  # ties found above
+                flips, extra = coins[used : used + len(q)].tolist(), 0  # extra: ties found here
+                for j, d, u in zip(chained[scan].tolist(), down[scan].tolist(), up[scan].tolist()):
+                    # free change j - 1 is settled, by now; a tie above takes its coin here
+                    s[j] = u if (s[j - 1] or flips[before[j - 1] + extra]) > 0 else d
+                    if not s[j]:
+                        s[j], tie[j] = flips[before[j] + extra], True
+                        extra += 1
+                step = np.array(s)
+        tie = tie.nonzero()[0]
+        step[tie] = coins[used : used + len(tie)]
+        used += len(tie)
+        out[at[a:b]] = new[a:b]  # the free ones are overwritten next
+        out[q] = c + step
     return GrayImage(out.reshape(-1, stride)[1:-1, 1:-1].astype(np.uint8))
 
 

@@ -331,15 +331,17 @@ METHODS = ("lsbm", "lsbmr", "lsbm_improved", "lsbmr_improved")
 
 @st.composite
 def edge_covers(draw):
-    """Covers at the edges: 1xN and Nx1 strips, odd pixel counts, saturated values.
+    """Covers at the edges: 1xN, Nx1 and Nx2 strips, odd pixel counts, saturated values.
 
     The narrow mid-range palette is there for the vote: most neighbors fall
     within a small T of each other, and many sit exactly at it.
     """
-    shape = draw(st.sampled_from(["row", "column", "block"]), label="shape")
+    shape = draw(st.sampled_from(["row", "column", "block", "two columns"]), label="shape")
     if shape == "block":
         h = draw(st.integers(2, 9), label="h")
         w = draw(st.integers(math.ceil(34 / h), 41), label="w")
+    elif shape == "two columns":
+        h, w = draw(st.integers(17, 60), label="h"), 2
     else:
         h, w = 1, draw(st.integers(34, 120), label="n")
         if shape == "column":
@@ -407,13 +409,13 @@ def test_bordered_walk_matches_bounds_checked_reference(data):
     assert embed(cover, bits, cfg).pixels.tolist() == reference_embed(cover, bits, cfg)
 
 
-def draw_case(data):
-    """An edge cover, any method, traversal and T, and a payload up to or exactly at capacity."""
+def draw_case(data, methods=METHODS, traversals=("raster", "permuted"), thresholds=THRESHOLDS):
+    """An edge cover, a method, traversal and T, and a payload up to or exactly at capacity."""
     cover = data.draw(edge_covers(), label="cover")
-    method = data.draw(st.sampled_from(METHODS), label="method")
-    cfg = EmbedConfig(method=method, threshold=data.draw(THRESHOLDS, label="threshold"),
+    method = data.draw(st.sampled_from(methods), label="method")
+    cfg = EmbedConfig(method=method, threshold=data.draw(thresholds, label="threshold"),
                       seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
-                      traversal=data.draw(st.sampled_from(["raster", "permuted"]), label="traversal"))
+                      traversal=data.draw(st.sampled_from(traversals), label="traversal"))
     capacity = (2 * (cover.n_pixels // 2) if method.startswith("lsbmr") else cover.n_pixels) - 32
     nbits = capacity if data.draw(st.booleans(), label="full") else \
         data.draw(st.integers(0, capacity), label="nbits")
@@ -456,35 +458,57 @@ def test_settle_paths_match_reference(data):
 
 
 def greedy_runs(at, free, around):
-    """Run starts by definition: a free change next to a change of the current run starts one."""
-    starts, current = [0], set()
+    """Run starts by definition: a free change starts one when it neighbors a change of the
+    current run other than the one planned just before it."""
+    starts, current, last = [0], set(), None
     for i, (p, is_free) in enumerate(zip(at.tolist(), free.tolist())):
-        if is_free and any(p + offset in current for offset in around.tolist()):
+        if is_free and any(p + offset in current and p + offset != last
+                           for offset in around.tolist()):
             starts.append(i)
             current = set()
         current.add(p)
+        last = p
     return starts + [len(at)]
 
 
-@pytest.mark.parametrize("method", ["lsbm_improved", "lsbmr_improved"])
-def test_settle_paths_match_reference_on_many_runs(method):
-    # a smooth 128x128 cover at rate 0.8, permuted: the vote decides most
-    # steps, and the plan splits into many runs of many free changes each
-    cover = synthetic_image(128, 128, seed=31)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_chained_runs_match_reference_in_raster_order(data):
+    # in raster order most free changes read the change just before them (the
+    # left neighbor, or the one above on 1- and 2-wide covers), so runs chain
+    cover, bits, cfg = draw_case(data, methods=["lsbm_improved", "lsbmr_improved"],
+                                 traversals=["raster"],
+                                 thresholds=st.one_of(st.integers(2, 8),
+                                                      st.sampled_from([256, 10**9])))
+    want = reference_embed(cover, bits, cfg)
+    for path, min_free_per_run in SWITCH.items():
+        assert settle(cover, bits, cfg, min_free_per_run) == want, path
+
+
+@pytest.mark.parametrize("method, traversal", [
+    ("lsbm_improved", "permuted"), ("lsbmr_improved", "permuted"),
+    ("lsbm_improved", "raster"), ("lsbmr_improved", "raster"),
+], ids=["lsbm_improved", "lsbmr_improved", "lsbm_improved-raster", "lsbmr_improved-raster"])
+def test_settle_paths_match_reference_on_many_runs(method, traversal):
+    # a smooth cover at rate 0.8: the vote decides most steps, and the plan
+    # splits into many runs of many free changes each. Raster runs chain
+    # along a row, so that cover is wide
+    width, height = (128, 128) if traversal == "permuted" else (256, 64)
+    cover = synthetic_image(width, height, seed=31)
     bits = Rng(32).bits(int(0.8 * cover.n_pixels) - 32).tolist()
-    cfg = EmbedConfig(method=method, threshold=4, seed=33, traversal="permuted")
+    cfg = EmbedConfig(method=method, threshold=4, seed=33, traversal=traversal)
     runs = []
     real_runs = embed_module._runs
 
     def spy(*args):
-        runs.append((real_runs(*args), greedy_runs(*args[:3])))
+        runs.append((real_runs(*args), greedy_runs(args[0], args[1], args[3])))
         return runs[-1][0]
 
     with mock.patch.object(embed_module, "_runs", spy):
         stego = embed(cover, bits, cfg)
     starts, greedy = runs[0]
     assert starts == greedy  # the switch chooses arrays here, with maximal runs
-    assert len(starts) > 40  # 124 runs for lsbm_improved, 48 for lsbmr_improved
+    assert len(starts) > 40  # permuted 121 and 47 runs, raster 52 and 50
     want = reference_embed(cover, bits, cfg)
     assert stego.pixels.tolist() == want
     for path, min_free_per_run in SWITCH.items():
