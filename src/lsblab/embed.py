@@ -9,11 +9,11 @@ Two code families share one config and framing contract:
   f_pair of both values.
 
 Every free up-or-down choice follows one rule: saturated pixels step
-inward; otherwise the "_improved" variants ask neighbor_vote (in _step),
-which steps the pixel toward its 3x3 neighbors, and a step the vote leaves
-open, like every baseline step, takes the next coin. Neighbors are read
-from the live, partially embedded raster, so earlier-visited pixels vote
-with their post-change values. The variants write the same code, so
+inward; otherwise the "_improved" variants take the README's 3x3 vote,
+which steps the pixel toward its neighbors closer than T, and a step the
+vote leaves open, like every baseline step, takes the next coin. Neighbors
+are read from the live, partially embedded raster, so earlier-visited pixels
+vote with their post-change values. The variants write the same code, so
 extract decodes every method of a family.
 
 The changes are settled in runs: maximal stretches of the visiting order
@@ -24,7 +24,6 @@ just before it in its run (in raster order, its left neighbor), counts that
 change's new value: a fixed one, or whichever of a free step's -1 and +1
 one scan in visiting order finds taken. So a raster-order run is about one
 image row. At T <= 1 every vote ties: the baselines (T = 0) are one run.
-Short runs, as on narrow covers, are walked one change at a time (_step).
 
 The raster has a one-pixel border of -1024, so the vote reads eight fixed
 offsets with no bounds checks. T is capped at 256: real neighbors differ
@@ -73,46 +72,6 @@ class EmbedConfig:
 def f_pair(y1, y2):
     """Binary pair function: LSB(floor(y1 / 2) + y2); also works on uint8 arrays."""
     return ((y1 >> 1) + y2) & 1
-
-
-def neighbor_vote(out: list, p: int, stride: int, threshold: int) -> tuple[int, int]:
-    """(sad_minus, sad_plus) for the pixel at index p of a bordered raster.
-
-    out is the raster with a one-pixel border of _BORDER (see _bordered), so
-    the eight neighbors sit at fixed offsets from p. Only neighbors strictly
-    closer than `threshold` to the center vote; each sum adds the absolute
-    differences between the voters and the center after a -1 or a +1 step.
-    The border never votes as long as threshold <= 256.
-    """
-    c = out[p]
-    sad_minus = 0
-    sad_plus = 0
-    for q in (p - stride - 1, p - stride, p - stride + 1, p - 1,
-              p + 1, p + stride - 1, p + stride, p + stride + 1):
-        d = c - out[q]
-        if -threshold < d < threshold:
-            sad_minus += abs(d - 1)
-            sad_plus += abs(d + 1)
-    return sad_minus, sad_plus
-
-
-def _step(out: list, p: int, stride: int, threshold: int, coins) -> int:
-    """The guided ±1 step for a free choice at index p of a bordered raster.
-
-    Saturated pixels step inward. Otherwise the step with the smaller vote
-    sum wins; an empty mask (both sums 0) or a tie takes the next coin from
-    the `coins` iterator, so the rule degrades to the baseline's random
-    step exactly where it has no information.
-    """
-    c = out[p]
-    if c == 0:
-        return 1
-    if c == 255:
-        return -1
-    sad_minus, sad_plus = neighbor_vote(out, p, stride, threshold)
-    if sad_minus != sad_plus:
-        return 1 if sad_plus < sad_minus else -1
-    return next(coins)
 
 
 _BORDER = -1024  # differs from every pixel value 0..255 by at least 1024
@@ -166,7 +125,7 @@ def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> Gray
     are left open. Coins come from one draw of Rng(seed), one per coin-decided
     step in visiting order. The free steps are settled in runs (see the module
     docstring): one run at T <= 1, about one image row per run in raster
-    order, one change at a time where runs are short.
+    order.
     """
     return _embed(cover, frame_bits(message), config,
                   traversal_order(cover, config.traversal, config.seed))
@@ -190,22 +149,14 @@ def _embed(cover: GrayImage, framed: np.ndarray, config: EmbedConfig,
     return _settle(cover, pixels, new, config.seed, t)
 
 
-_MIN_FREE_PER_RUN = 24  # a run on arrays costs about this many unlinked free changes through _step
-
-
-def _runs(at: np.ndarray, free: np.ndarray, linked: np.ndarray, around: np.ndarray,
-          size: int) -> list[int] | None:
-    """Where each run of the changes at `at` starts, then len(at); None if runs are short.
+def _runs(at: np.ndarray, free: np.ndarray, around: np.ndarray, size: int) -> list[int]:
+    """Where each run of the changes at `at` starts, then len(at).
 
     A free change starts a run when it neighbors a change of the current run
     other than the one planned just before it. around are the offsets a vote
-    reads in a raster of `size` pixels; linked marks the free changes next to
-    the change before them. Short means under _MIN_FREE_PER_RUN unlinked free
-    changes per run: the scalar walk wins. Linked ones do not count, as a run
-    with chained changes costs about twice one without.
+    reads in a raster of `size` pixels.
     """
     n, fi = len(at), np.flatnonzero(free).astype(np.int32)
-    unlinked = len(fi) - np.count_nonzero(linked)
     dep = np.full(len(fi), -1, dtype=np.int32)  # latest earlier neighboring change but i - 1
     if len(around):
         visit = np.full(size, -1, dtype=np.int32)
@@ -217,23 +168,28 @@ def _runs(at: np.ndarray, free: np.ndarray, linked: np.ndarray, around: np.ndarr
     reach = np.maximum.accumulate(dep)  # sorted: the first dep >= s reads the run at s
     starts = [0]
     while starts[-1] < n:
-        if len(starts) * _MIN_FREE_PER_RUN > unlinked:
-            return None
         j = int(reach.searchsorted(np.int32(starts[-1])))  # a Python int would copy reach
         starts.append(int(fi[j]) if j < len(fi) else n)
     return starts
 
 
 def _pull(d: np.ndarray, t: int) -> np.ndarray:
-    """sign(d) where |d| < t: half of one voter's term in sad_minus - sad_plus (neighbor_vote)."""
+    """sign(d) where |d| < t, for d = c - n: voter n's half of the README vote's up minus down sum.
+
+    Voter n adds |d - 1| to the down sum and |d + 1| to the up sum, and
+    |d - 1| - |d + 1| = -2 sign(d): a negative summed pull steps c up.
+    """
     return np.sign(d) * ((d > -t) & (d < t))
 
 
 def _settle(cover: GrayImage, pixels: np.ndarray, new: np.ndarray, seed: int, t: int) -> GrayImage:
     """The cover with the planned changes made; t (at most 256) is the vote threshold.
 
-    A run (see _runs) votes with one gather; chained changes then vote on
-    arrays, and by one scan where a free predecessor's step decides.
+    Each free step follows the README rule: a saturated pixel steps inward,
+    the vote (its neighbors' summed _pull) takes the step with the smaller
+    sum, and a tie or an empty mask takes the next coin. A run (see _runs)
+    votes with one gather; chained changes then vote on arrays, and by one
+    scan where a free predecessor's step decides.
     """
     w, stride = cover.width, cover.width + 2
     out = _bordered(cover.pixels)
@@ -247,13 +203,7 @@ def _settle(cover: GrayImage, pixels: np.ndarray, new: np.ndarray, seed: int, t:
     if t > 1:  # neighbors sit 1, stride - 1, stride or stride + 1 apart
         gap = np.abs(np.diff(at))
         linked[1:] = free[1:] & ((gap == 1) | (np.abs(gap - stride) <= 1))
-    starts = _runs(at, free, linked, around, len(out))
-    if starts is None:
-        walk, draw = out.tolist(), iter(coins.tolist())
-        for p, value in zip(at.tolist(), new.tolist()):
-            walk[p] = value if value != _FREE else walk[p] + _step(walk, p, stride, t, draw)
-        out = np.asarray(walk, dtype=np.int16)
-        return GrayImage(out.reshape(-1, stride)[1:-1, 1:-1].astype(np.uint8))
+    starts = _runs(at, free, around, len(out))
     # each run votes on the raster as it stood before the run, then writes. A
     # chained change neighbors the change planned just before it, in its run:
     # its vote takes that change's new value, or both candidates if it is free

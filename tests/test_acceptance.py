@@ -12,13 +12,12 @@ import pytest
 
 from lsblab.bits import FRAME_BITS
 from lsblab.embed import (
+    _FREE,
     EmbedConfig,
-    _bordered,
-    _coins,
-    _step,
+    _pull,
+    _settle,
     embed,
     extract,
-    neighbor_vote,
 )
 from lsblab.glcm import cooccurrence
 from lsblab.harness import (
@@ -31,6 +30,7 @@ from lsblab.harness import (
 from lsblab.image import GrayImage
 from lsblab.rng import Rng, derive_seed
 
+import reference
 from test_glcm import NEIGHBOR_OFFSETS, brute_force_glcm
 
 METHODS = ("lsbm", "lsbmr", "lsbm_improved", "lsbmr_improved")
@@ -153,13 +153,19 @@ def test_glcm_brute_force_oracle():
 
 def test_direction_choice_worked_example():
     with criterion("direction choice example: sad_minus 14, sad_plus 8, step +1"):
-        # 3x3 block [[100,101,102],[100,100,103],[99,100,101]], T=4; bordered
-        # as embed walks it, the rows are 5 apart and the center sits at 12
-        block = _bordered(np.array([[100, 101, 102], [100, 100, 103], [99, 100, 101]]))
-        sad_minus, sad_plus = neighbor_vote(block, 12, 5, 4)
+        # 3x3 block [[100,101,102],[100,100,103],[99,100,101]], T=4: every
+        # neighbor votes. embed's array score sums sign(c - n) over them,
+        # which is (sad_plus - sad_minus) / 2
+        block = np.array([[100, 101, 102], [100, 100, 103], [99, 100, 101]])
+        sad_minus, sad_plus = reference.vote(block.tolist(), 1, 1, 4)
         assert sad_minus == 14
         assert sad_plus == 8
-        assert _step(block, 12, 5, 4, iter(_coins(0, 1).tolist())) == 1
+        assert _pull(100 - np.delete(block.ravel(), 4), 4).sum() == (sad_plus - sad_minus) // 2 == -3
+        # the center as a plan's one free change steps up, whatever the coin
+        for seed in range(10):
+            stego = _settle(GrayImage(block.astype(np.uint8)), np.array([4]),
+                            np.array([_FREE], dtype=np.int16), seed, 4)
+            assert stego.pixels[1, 1] == 101
 
 
 def test_energy_trend():

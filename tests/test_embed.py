@@ -10,16 +10,14 @@ from hypothesis import given, settings, strategies as st
 import reference
 from lsblab.bits import CapacityError, FramingError, bytes_to_bits, frame_bits
 from lsblab.embed import (
+    _FREE,
     EmbedConfig,
-    _bordered,
     _coins,
     _plan,
     _settle,
-    _step,
     embed,
     extract,
     f_pair,
-    neighbor_vote,
 )
 from lsblab.harness import synthetic_image
 from lsblab.image import GrayImage, traversal_order
@@ -27,11 +25,6 @@ from lsblab.rng import Rng
 
 # the module itself: the package re-exports a function under the same name
 embed_module = importlib.import_module("lsblab.embed")
-
-
-def coins(seed):
-    """The coin iterator _step draws from, for a seed's coin stream."""
-    return iter(_coins(seed, 1).tolist())
 
 
 def flat_image(values, width=8):
@@ -82,40 +75,50 @@ def test_f_pair_on_uint8_arrays_matches_scalar():
 # test_acceptance.py::test_direction_choice_worked_example)
 
 
-def bordered_at(rows, idx):
-    """A block's bordered list as embed walks it, flat pixel idx's index in it, and its stride."""
-    width = len(rows[0])
-    return _bordered(np.array(rows)).tolist(), idx + 2 * (idx // width) + width + 3, width + 2
+def one_step(rows, idx, seed=0, threshold=4):
+    """The step _settle gives flat pixel idx of a block when it is the plan's one free change."""
+    cover = GrayImage(np.array(rows, dtype=np.uint8))
+    stego = _settle(cover, np.array([idx]), np.array([_FREE], dtype=np.int16), seed, threshold)
+    return int(stego.pixels.ravel()[idx]) - int(cover.pixels.ravel()[idx])
+
+
+def first_coin(seed):
+    """The seed's first coin: the step the baseline rule takes for its first free change."""
+    return int(_coins(seed, 1)[0])
 
 
 def test_mask_is_strict_inequality():
-    assert neighbor_vote(*bordered_at([[100, 120]], 0), 4) == (0, 0)
-    # 104 sits exactly at the threshold and does not vote; only 103 does
-    assert neighbor_vote(*bordered_at([[104, 100, 103]], 1), 4) == (4, 2)
+    # 104 and 96 sit exactly at the threshold and do not vote; only 99 and
+    # 101 do. Were they counted, each block would tie and take the coin
+    assert reference.vote([[104, 100, 99]], 0, 1, 4) == (0, 2)
+    assert reference.vote([[96, 100, 101]], 0, 1, 4) == (2, 0)
+    for seed in range(30):
+        assert one_step([[104, 100, 99]], 1, seed) == -1
+        assert one_step([[96, 100, 101]], 1, seed) == 1
 
 
 def test_saturated_centers_are_forced():
     # the baselines' inward step is test_lsbm_zero_pixel_goes_up and
     # test_lsbm_saturated_pixel_goes_down
     for seed in range(10):
-        assert _step(*bordered_at([[0, 10, 20]], 0), 4, coins(seed)) == 1
-        assert _step(*bordered_at([[255, 250]], 0), 4, coins(seed)) == -1
+        assert one_step([[0, 10, 20]], 0, seed) == 1
+        assert one_step([[255, 250]], 0, seed) == -1
 
 
 def test_empty_mask_falls_back_to_coin():
-    block = bordered_at([[100, 200]], 0)
-    assert neighbor_vote(*block, 4) == (0, 0)
-    steps = [_step(*block, 4, coins(seed)) for seed in range(30)]
+    assert reference.vote([[100, 200]], 0, 0, 4) == (0, 0)
+    steps = [one_step([[100, 200]], 0, seed) for seed in range(30)]
     assert set(steps) == {-1, 1}
     # the fallback is the very coin the baseline rule would flip
-    assert steps == [int(_coins(seed, 1)[0]) for seed in range(30)]
+    assert steps == [first_coin(seed) for seed in range(30)]
 
 
 def test_tie_falls_back_to_coin():
     # neighbors straddle the center symmetrically: both steps cost the same
-    block = bordered_at([[99, 100, 101]], 1)
-    assert neighbor_vote(*block, 4) == (2, 2)
-    assert {_step(*block, 4, coins(seed)) for seed in range(30)} == {-1, 1}
+    assert reference.vote([[99, 100, 101]], 0, 1, 4) == (2, 2)
+    steps = [one_step([[99, 100, 101]], 1, seed) for seed in range(30)]
+    assert set(steps) == {-1, 1}
+    assert steps == [first_coin(seed) for seed in range(30)]
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +388,8 @@ THRESHOLDS = st.one_of(st.sampled_from([0, 1, 4, 255, 256, 257, 10**9]), st.inte
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_bordered_vote_matches_bounds_checked_reference(data):
-    # every pixel of every block up to 9x9, 1xN, Nx1 and 2x2 included; the walk
-    # caps T at 256, the reference does not
+    # every pixel of every block up to 9x9, 1xN, Nx1 and 2x2 included, as a
+    # plan's one free change; _settle caps T at 256, the reference does not
     h = data.draw(st.integers(1, 9), label="h")
     w = data.draw(st.integers(1, 9), label="w")
     palette = data.draw(st.sampled_from([(0, 255), (0, 1, 254, 255), tuple(range(256))]),
@@ -394,12 +397,13 @@ def test_bordered_vote_matches_bounds_checked_reference(data):
     flat = data.draw(st.lists(st.sampled_from(palette), min_size=w * h, max_size=w * h),
                      label="raster")
     threshold = data.draw(THRESHOLDS, label="threshold")
-    rows = np.array(flat).reshape(h, w)
-    for idx in range(w * h):
-        out, p, stride = bordered_at(rows, idx)
-        assert out[p] == flat[idx]
-        assert (neighbor_vote(out, p, stride, min(threshold, 256))
-                == reference.vote(rows.tolist(), idx // w, idx % w, threshold))
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    rows = np.array(flat).reshape(h, w).tolist()
+    for idx, c in enumerate(flat):
+        down, up = reference.vote(rows, idx // w, idx % w, threshold)
+        want = 1 if c == 0 else -1 if c == 255 else \
+            int(np.sign(down - up)) if down != up else first_coin(seed)
+        assert one_step(rows, idx, seed, min(threshold, 256)) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -428,11 +432,8 @@ def reference_embed(cover, bits, cfg):
                            cfg.threshold)
 
 
-def settle(cover, bits, cfg, min_free_per_run):
-    """_settle on embed's plan, with the array/scalar switch set to min_free_per_run.
-
-    0 settles every run on arrays; a huge value walks every change through _step.
-    """
+def settle(cover, bits, cfg):
+    """_settle on embed's plan."""
     framed = frame_bits(bits)
     pairwise = cfg.method.startswith("lsbmr")
     if pairwise and len(framed) & 1:
@@ -440,21 +441,15 @@ def settle(cover, bits, cfg, min_free_per_run):
     order = traversal_order(cover, cfg.traversal, cfg.seed)[: len(framed)]
     pixels, new = _plan(order, cover.pixels.ravel()[order], framed, pairwise)
     t = min(cfg.threshold, 256) if cfg.method.endswith("_improved") else 0
-    with mock.patch.object(embed_module, "_MIN_FREE_PER_RUN", min_free_per_run):
-        return _settle(cover, pixels, new, cfg.seed, t).pixels.tolist()
-
-
-SWITCH = {"arrays": 0, "scalar": 10**9}
+    return _settle(cover, pixels, new, cfg.seed, t).pixels.tolist()
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_settle_paths_match_reference(data):
-    # both sides of the run/scalar switch against the stdlib oracle
+    # the run-parallel array vote against the stdlib oracle
     cover, bits, cfg = draw_case(data)
-    want = reference_embed(cover, bits, cfg)
-    for path, min_free_per_run in SWITCH.items():
-        assert settle(cover, bits, cfg, min_free_per_run) == want, path
+    assert settle(cover, bits, cfg) == reference_embed(cover, bits, cfg)
 
 
 def greedy_runs(at, free, around):
@@ -480,9 +475,7 @@ def test_chained_runs_match_reference_in_raster_order(data):
                                  traversals=["raster"],
                                  thresholds=st.one_of(st.integers(2, 8),
                                                       st.sampled_from([256, 10**9])))
-    want = reference_embed(cover, bits, cfg)
-    for path, min_free_per_run in SWITCH.items():
-        assert settle(cover, bits, cfg, min_free_per_run) == want, path
+    assert settle(cover, bits, cfg) == reference_embed(cover, bits, cfg)
 
 
 @pytest.mark.parametrize("method, traversal", [
@@ -501,18 +494,15 @@ def test_settle_paths_match_reference_on_many_runs(method, traversal):
     real_runs = embed_module._runs
 
     def spy(*args):
-        runs.append((real_runs(*args), greedy_runs(args[0], args[1], args[3])))
+        runs.append((real_runs(*args), greedy_runs(*args[:3])))
         return runs[-1][0]
 
     with mock.patch.object(embed_module, "_runs", spy):
         stego = embed(cover, bits, cfg)
     starts, greedy = runs[0]
-    assert starts == greedy  # the switch chooses arrays here, with maximal runs
+    assert starts == greedy  # the runs are maximal
     assert len(starts) > 40  # permuted 121 and 47 runs, raster 52 and 50
-    want = reference_embed(cover, bits, cfg)
-    assert stego.pixels.tolist() == want
-    for path, min_free_per_run in SWITCH.items():
-        assert settle(cover, bits, cfg, min_free_per_run) == want, path
+    assert stego.pixels.tolist() == reference_embed(cover, bits, cfg)
 
 
 @settings(max_examples=40, deadline=None)
