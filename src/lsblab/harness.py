@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .bits import CapacityError, FRAME_BITS, frame_bits
 from .embed import DEFAULT_THRESHOLD, EmbedConfig, _embed, embed
@@ -316,6 +315,31 @@ CORPUS_WIDTH = 128
 CORPUS_HEIGHT = 128
 
 
+def _blur(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur with mirrored edges, bit for bit ndimage.gaussian_filter(mode="reflect").
+
+    Covers must keep their bytes, so this does ndimage's float operations in
+    its order: weights exp(-0.5 / sigma^2 * k^2) over |k| <= int(4 sigma + 0.5),
+    normalised by their sum; axis 0, then axis 1; each output starts at the
+    centre tap and adds the mirrored pairs from the outermost in. The weights
+    need `c * k ** 2`: `c * k * k` multiplies left to right and rounds differently.
+    """
+    r = int(4.0 * sigma + 0.5)
+    k = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * k ** 2)
+    w /= w.sum()
+    out = x
+    for _ in range(2):  # filter along axis 0, then transpose
+        n = out.shape[0]
+        padded = np.pad(out, ((r, r), (0, 0)), mode="symmetric")
+        acc = padded[r:r + n] * w[r]
+        for j in range(r, 0, -1):
+            acc += (padded[r - j:r - j + n] + padded[r + j:r + j + n]) * w[r + j]
+        out = acc.T
+    # C order, so later reductions sum in the same order as on ndimage's output
+    return np.ascontiguousarray(out)
+
+
 def synthetic_image(width: int, height: int, seed: int, *,
                     texture: float = 0.6, noise: float = 0.1) -> GrayImage:
     """One smooth synthetic image: blurred Gaussian noise, mid-gray centered.
@@ -330,11 +354,11 @@ def synthetic_image(width: int, height: int, seed: int, *,
     sigma = gen.uniform(5.0, 12.0)
     contrast = gen.uniform(8.0, 26.0)
     levels = np.full((height, width), 128.0)
-    smooth = gaussian_filter(gen.standard_normal((height, width)), sigma=sigma, mode="reflect")
+    smooth = _blur(gen.standard_normal((height, width)), sigma)
     levels += contrast * (smooth - smooth.mean()) / (smooth.std() + 1e-12)
     if texture > 0.0:
         tex_sigma = gen.uniform(0.6, 2.0)
-        tex = gaussian_filter(gen.standard_normal((height, width)), sigma=tex_sigma, mode="reflect")
+        tex = _blur(gen.standard_normal((height, width)), tex_sigma)
         levels += gen.uniform(0.0, texture) * (tex - tex.mean()) / (tex.std() + 1e-12)
     if noise > 0.0:
         levels += gen.uniform(0.0, noise) * gen.standard_normal((height, width))

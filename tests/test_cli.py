@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -191,3 +197,31 @@ def test_gen_corpus_rejects_non_positive_size(tmp_path, capsys, recwarn, size):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert len(recwarn) == 0
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    # scipy is only the test oracle of harness._blur: every subcommand runs in a
+    # fresh interpreter without importing it
+    script = textwrap.dedent("""
+        import sys
+        from lsblab import cli
+        commands = [
+            "gen-corpus --n 20 --size 16x16 --seed 1 --out corpus",
+            "embed --method lsbmr-imp --cover corpus/img_0000.pgm --payload payload.bin"
+            " --out stego.pgm --seed 5 --traversal permuted",
+            "extract --method lsbmr-imp --stego stego.pgm --out back.bin --seed 5"
+            " --traversal permuted",
+            "features --image stego.pgm --out features.csv",
+            "glcm --image stego.pgm --offset 1,0 --out glcm.csv",
+            "bench --corpus corpus --methods lsbm-imp --rates 0.5 --seed 2 --out bench.csv",
+        ]
+        for command in commands:
+            assert cli.main(command.split()) == 0, command
+        assert open("back.bin", "rb").read() == open("payload.bin", "rb").read()
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+    """)
+    (tmp_path / "payload.bin").write_bytes(b"attack at dawn")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

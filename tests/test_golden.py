@@ -4,7 +4,8 @@ Every digest below was generated from the reference implementation and is
 checked in verbatim. A mismatch means the stego pixels, the feature CSV or
 the benchmark report changed, which breaks every receiver of the old format.
 The cover digests are pinned separately, so a drift in the cover generator
-(numpy/scipy) is told apart from a change in the embedder.
+(numpy's generator or `harness._blur`) is told apart from a change in the
+embedder.
 """
 
 import hashlib

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lsblab.harness
 from lsblab.bits import CapacityError
@@ -7,6 +8,7 @@ from lsblab.embed import EmbedConfig, embed
 from lsblab.glcm import band_features
 from lsblab.harness import (
     ReportRow,
+    _blur,
     _mean_energies,
     _message_bits,
     _split_accuracy,
@@ -96,6 +98,27 @@ def test_corpus_images_are_smooth():
 def test_corpus_rejects_empty():
     with pytest.raises(ValueError):
         synthetic_corpus(0, 32, 32, seed=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(height=st.integers(1, 89), width=st.integers(1, 89),
+       sigma=st.one_of(st.floats(0.6, 2.0), st.floats(5.0, 12.0)),
+       seed=st.integers(0, 2**32 - 1), strip=st.sampled_from([None, 0, 1]))
+def test_blur_equals_gaussian_filter_bitwise(height, width, sigma, seed, strip):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    # the covers' bytes depend on every ulp: a drift of np.exp between CPUs shows here.
+    # Radii reach 48, so many sides here are shorter than their pad
+    shape = [height, width]
+    if strip is not None:
+        shape[strip] = 1  # 1xN and Nx1
+    x = np.random.default_rng(seed).standard_normal(shape)
+    assert np.array_equal(_blur(x, sigma), ndimage.gaussian_filter(x, sigma, mode="reflect"))
+
+
+def test_blur_equals_gaussian_filter_bitwise_at_512():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    x = np.random.default_rng(512).standard_normal((512, 512))
+    assert np.array_equal(_blur(x, 12.0), ndimage.gaussian_filter(x, 12.0, mode="reflect"))
 
 
 # ---------------------------------------------------------------------------
