@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"framing: {exc}", file=sys.stderr)
     except PgmFormatError as exc:
         print(f"format: {exc}", file=sys.stderr)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return 1
 

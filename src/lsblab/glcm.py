@@ -4,8 +4,9 @@ A co-occurrence matrix for a displacement (dx, dy) counts, over all pixel
 positions where both ends fall inside the image, how often gray level i
 sits at (x, y) while gray level j sits at (x+dx, y+dy). Natural images
 concentrate these counts on and near the main diagonal; the band-energy
-features below measure that concentration. They only need the band sums,
-so they count a clipped |a - b| histogram and never build the matrix.
+features below measure that concentration as the share of pairs with
+|i - j| = k. They count a clipped |a - b| histogram and never build the
+matrix, which only cooccurrence (behind `lsblab glcm`) does.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ def cooccurrence(image: GrayImage, offset: Offset) -> np.ndarray:
 def band_energies(image: GrayImage, offset: Offset) -> np.ndarray:
     """Fraction of in-bounds pixel pairs with |a - b| = k, for k = 0..4.
 
-    Counts a clipped |a - b| histogram, so no 256x256 matrix is built; the
-    result equals diagonal_energies(cooccurrence(image, offset)) bit for bit.
+    Band k sums the +k and -k diagonals of cooccurrence(image, offset),
+    normalised by the pair count so values compare across image sizes. It
+    counts a clipped |a - b| histogram instead, so no 256x256 matrix is built.
     """
     a, b = _pairs(image, offset)
     if a.size == 0:
@@ -58,22 +60,6 @@ def band_energies(image: GrayImage, offset: Offset) -> np.ndarray:
     diff = np.abs(a.astype(np.int16) - b.astype(np.int16))
     counts = np.bincount(np.minimum(diff, N_BANDS).ravel(), minlength=N_BANDS + 1)
     return counts[:N_BANDS] / a.size
-
-
-def diagonal_energies(counts: np.ndarray) -> np.ndarray:
-    """Fraction of a co-occurrence matrix's counts on each band |i - j| = k, for k = 0..4.
-
-    Both the +k and -k diagonals count toward band k; values are
-    normalized by the total so curves are comparable across image sizes.
-    """
-    total = int(counts.sum())
-    if total == 0:
-        raise ValueError("empty co-occurrence matrix: no in-bounds pixel pairs")
-    e = np.empty(N_BANDS, dtype=np.float64)
-    e[0] = np.trace(counts) / total
-    for k in range(1, N_BANDS):
-        e[k] = (np.trace(counts, offset=k) + np.trace(counts, offset=-k)) / total
-    return e
 
 
 def band_features(image: GrayImage) -> np.ndarray:

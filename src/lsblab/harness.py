@@ -310,11 +310,6 @@ def report_svg(rows: Sequence[ReportRow]) -> str:
 # ---------------------------------------------------------------------------
 # bundled synthetic corpus
 
-CORPUS_SIZE = 20
-CORPUS_WIDTH = 128
-CORPUS_HEIGHT = 128
-
-
 def _blur(x: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian blur with mirrored edges, bit for bit ndimage.gaussian_filter(mode="reflect").
 
@@ -365,8 +360,7 @@ def synthetic_image(width: int, height: int, seed: int, *,
     return GrayImage(np.clip(np.rint(levels), 0, 255).astype(np.uint8))
 
 
-def synthetic_corpus(n: int = CORPUS_SIZE, width: int = CORPUS_WIDTH,
-                     height: int = CORPUS_HEIGHT, seed: int = 0, *,
+def synthetic_corpus(n: int, width: int, height: int, seed: int = 0, *,
                      texture: float = 0.6, noise: float = 0.1) -> list[GrayImage]:
     """Seeded corpus of n smooth synthetic images; no external data needed."""
     if n < 1:

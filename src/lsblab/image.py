@@ -86,7 +86,10 @@ def _int_token(data: bytes, pos: int, field: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos, field)
     if not token.isdigit():
         raise PgmFormatError(f"{field}: expected an unsigned integer, got {token[:16]!r}")
-    return int(token), pos
+    try:
+        return int(token), pos
+    except ValueError:  # more digits than the interpreter converts
+        raise PgmFormatError(f"{field}: {len(token)}-digit value is too long") from None
 
 
 def read_pgm(data: bytes) -> GrayImage:
@@ -109,7 +112,7 @@ def read_pgm(data: bytes) -> GrayImage:
     pos += 1
     raster = data[pos : pos + width * height]
     if len(raster) < width * height:
-        raise PgmFormatError(f"raster: expected {width * height} bytes, got {len(raster)}")
+        raise PgmFormatError(f"raster: expected {width}x{height} pixels, got {len(raster)} bytes")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
     return GrayImage(pixels)
 

@@ -62,17 +62,15 @@ class Rng:
     def _draws(self, n: int) -> np.ndarray:
         """randrange(m) for m = n, n-1, ..., 2, drawn from the stream in that order."""
         draws = np.empty(max(n - 1, 0), dtype=np.int32)
-        t, vector_end = 0, max(n - 1 - _TAIL, 0)
-        while t < vector_end:
-            if vector_end - t <= _WINDOW:  # it may be the last window: note where it starts
-                state = self._random.getstate()
-            # Word q of the window serves draw t + (words accepted before q). Iterate
-            # that count to a fixed point: if two rounds first disagree at word d,
-            # the newer one is exact up to and including d, so each round extends
-            # the exact prefix and the loop ends.
-            words = self._words(min(_WINDOW, (vector_end - t) * 3 // 2 + 16))
-            local = np.minimum(np.arange(len(words)), vector_end - t - 1)
-            bound = (n - t - local).astype(np.uint32)
+        t = 0
+        while n - 1 - t > _TAIL:
+            # A window has no more words than draws left and every draw spends at least
+            # one word, so no window reads past the last draw: the generator ends where
+            # the stdlib's does. Word q serves draw t + (words accepted before q); iterate
+            # that count to a fixed point: if two rounds first disagree at word d, the
+            # newer one is exact through d, so each round extends the exact prefix.
+            words = self._words(min(_WINDOW, n - 1 - t))
+            bound = (n - t - np.arange(len(words))).astype(np.uint32)
             shift = (32 - np.frexp(bound)[1]).astype(np.uint32)  # frexp exponent = bit_length
             limit = bound << shift  # word >> shift < bound exactly when word < limit
             accept = words < limit[0]
@@ -81,12 +79,9 @@ class Rng:
                 if np.array_equal(again, accept):
                     break
                 accept = again
-            taken = np.flatnonzero(accept)[: vector_end - t]
+            taken = np.flatnonzero(accept)
             draws[t : t + len(taken)] = words[taken] >> shift[: len(taken)]
             t += len(taken)
-        if vector_end:  # rewind to the last window's start, then spend just the words it used
-            self._random.setstate(state)
-            self._random.getrandbits(32 * (int(taken[-1]) + 1))
         # the last draws reject often and change bound every step: one by one, by randrange's rule
         getrandbits, tail = self._random.getrandbits, []
         for m in range(n - t, 1, -1):

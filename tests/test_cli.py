@@ -199,6 +199,21 @@ def test_gen_corpus_rejects_non_positive_size(tmp_path, capsys, recwarn, size):
     assert len(recwarn) == 0
 
 
+def test_gen_corpus_too_large_to_allocate_reports_one_line(tmp_path, capsys):
+    # about 7 EiB, more than any 64-bit address space: the allocation fails at once
+    assert run("gen-corpus", "--n", 1, "--size", "1000000000000000000x1", "--seed", 1,
+               "--out", tmp_path / "corpus") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_glcm_reports_overlong_header_number_as_format_error(tmp_path, capsys):
+    image = tmp_path / "wide.pgm"
+    image.write_bytes(b"P5 " + b"9" * 5000 + b" 2 255\n")
+    assert run("glcm", "--image", image, "--offset", "1,0", "--out", tmp_path / "g.csv") == 1
+    assert capsys.readouterr().err.splitlines() == ["format: width: 5000-digit value is too long"]
+
+
 def test_runtime_never_imports_scipy(tmp_path):
     # scipy is only the test oracle of harness._blur: every subcommand runs in a
     # fresh interpreter without importing it

@@ -46,6 +46,12 @@ def test_read_with_comments():
         (b"P5 2 2 255\n" + bytes(3), "raster"),
         (b"P5 2 2\n", "maxval"),
         (b"P5 x 2 255\n", "width"),
+        # more digits than int() converts; a product of more digits than str() converts
+        pytest.param(b"P5 " + b"9" * 5000 + b" 2 255\n", "width", id="5000-digit-width"),
+        pytest.param(b"P5 2 " + b"9" * 5000 + b" 255\n", "height", id="5000-digit-height"),
+        pytest.param(b"P5 2 2 " + b"9" * 5000 + b"\n", "maxval", id="5000-digit-maxval"),
+        pytest.param(b"P5 " + b"9" * 3000 + b" " + b"9" * 3000 + b" 255\n", "raster",
+                     id="6000-digit-raster-size"),
     ],
 )
 def test_read_errors_name_the_field(data, field):
@@ -111,7 +117,7 @@ def test_traversal_unknown_mode():
 
 VALID_PGM = write_pgm(GrayImage(np.arange(12, dtype=np.uint8).reshape(3, 4)))
 _NUMBERS = [b"0", b"1", b"3", b"4", b"12", b"-1", b"+3", b"255", b"256", b"1e3", b"\xd9\xa3",
-            b"99999999999999999999", b""]
+            b"99999999999999999999", b"9" * 5000, b""]
 _GAPS = [b" ", b"\n", b"\t", b"\r\n", b"# note\n", b"#", b"", b" # cut"]
 
 

@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsblab.embed import _coins
@@ -52,10 +53,12 @@ def test_derive_seed_is_stable_and_spreads():
 # differential: the bulk engine against the stdlib generator it reproduces
 
 MASK64 = (1 << 64) - 1
-# powers of two and their neighbours; 258 and 259 draw once or twice on arrays before
-# the 256-draw tail, 4353 and 4354 make a vectorised stage of 4096 and 4097 draws
+# powers of two and their neighbours. A shuffle of n makes n - 1 draws and takes the
+# last 256 one by one, so 257 is all tail; 258 is the first size with a window (of 257
+# words) and 4097 the first with a full window of 4096; 4098, 4353 and 4354 then read
+# a smaller window before the tail
 EDGE_SIZES = sorted({m for k in range(13) for m in (2**k - 1, 2**k, 2**k + 1) if m >= 1}
-                    | {258, 259, 4353, 4354})
+                    | {258, 259, 4098, 4353, 4354})
 SEEDS = st.one_of(st.sampled_from([0, MASK64]), st.integers(0, 2**70))
 
 
@@ -76,6 +79,29 @@ def test_shuffle_matches_stdlib(n, seed):
 def test_shuffle_matches_stdlib_at_512_squared():
     for seed in (0, MASK64):
         assert Rng(seed).shuffle(512 * 512).tolist() == stdlib_order(seed, 512 * 512)
+
+
+class WordCounter(random.Random):
+    """The stdlib generator, counting the 32-bit words getrandbits reads."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += (k + 31) // 32
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 256, 257, 258, 259, 300, 4096, 4097, 4098,
+                               4353, 4354, 10_000, 65_536])
+def test_shuffle_reads_only_the_words_the_stdlib_reads(n):
+    # no word is read past the last draw, so none has to be given back
+    for seed in (0, 5, MASK64):
+        rng = Rng(seed)
+        rng._random = WordCounter(seed)
+        rng.shuffle(n)
+        reference = WordCounter(seed)
+        reference.shuffle(list(range(n)))
+        assert rng._random.words == reference.words, (n, seed)
 
 
 @settings(max_examples=60, deadline=None)
