@@ -9,8 +9,9 @@ import sys
 from .bits import CapacityError, FramingError, bits_to_bytes, bytes_to_bits
 from .embed import DEFAULT_THRESHOLD, TRAVERSALS, EmbedConfig, embed, extract
 from .glcm import DEFAULT_OFFSETS, band_energies, cooccurrence, energies_to_csv, matrix_to_csv
-from .harness import benchmark, report_csv, report_svg, synthetic_corpus
+from .harness import benchmark, report_csv, report_svg, synthetic_image
 from .image import PgmFormatError, load_pgm, save_pgm
+from .rng import derive_seed
 
 _METHOD_NAMES = {
     "lsbm": "lsbm",
@@ -101,16 +102,29 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_gen_corpus(args: argparse.Namespace) -> int:
     width, height = _parse_size(args.size)
+    if args.n < 1:
+        raise ValueError(f"corpus size must be positive, got {args.n}")
     os.makedirs(args.out, exist_ok=True)
-    for i, image in enumerate(synthetic_corpus(args.n, width, height, args.seed)):
+    # one cover at a time, seeded as synthetic_corpus seeds its i-th image
+    for i in range(args.n):
+        image = synthetic_image(width, height, derive_seed(args.seed, i))
         save_pgm(os.path.join(args.out, f"img_{i:04d}.pgm"), image)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {"embed": _cmd_embed, "extract": _cmd_extract, "glcm": _cmd_glcm,
+             "features": _cmd_features, "bench": _cmd_bench, "gen-corpus": _cmd_gen_corpus}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names one."""
+    command = command if command in _COMMANDS else None
     parser = argparse.ArgumentParser(prog="lsblab",
                                      description="±1 steganography and co-occurrence analysis")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the one-command parser's usage lists every command, as the full parser's does; the full
+    # parser keeps the default metavar, under which its errors name the argument "command"
+    metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def add_shared(p: argparse.ArgumentParser) -> None:
         p.add_argument("--method", required=True, choices=sorted(_METHOD_NAMES))
@@ -119,52 +133,53 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--traversal", choices=TRAVERSALS, default="raster")
         p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
 
-    p = sub.add_parser("embed", help="hide a payload file in a PGM cover")
-    p.add_argument("--cover", required=True)
-    p.add_argument("--payload", required=True)
-    add_shared(p)
-    p.set_defaults(func=_cmd_embed)
+    if command in (None, "embed"):
+        p = sub.add_parser("embed", help="hide a payload file in a PGM cover")
+        p.add_argument("--cover", required=True)
+        p.add_argument("--payload", required=True)
+        add_shared(p)
 
-    p = sub.add_parser("extract", help="recover a payload file from a stego PGM")
-    p.add_argument("--stego", required=True)
-    add_shared(p)
-    p.set_defaults(func=_cmd_extract)
+    if command in (None, "extract"):
+        p = sub.add_parser("extract", help="recover a payload file from a stego PGM")
+        p.add_argument("--stego", required=True)
+        add_shared(p)
 
-    p = sub.add_parser("glcm", help="dump one co-occurrence matrix as CSV")
-    p.add_argument("--image", required=True)
-    p.add_argument("--offset", required=True, help="displacement as dx,dy")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_glcm)
+    if command in (None, "glcm"):
+        p = sub.add_parser("glcm", help="dump one co-occurrence matrix as CSV")
+        p.add_argument("--image", required=True)
+        p.add_argument("--offset", required=True, help="displacement as dx,dy")
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("features", help="dump band energies for the default offsets")
-    p.add_argument("--image", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_features)
+    if command in (None, "features"):
+        p = sub.add_parser("features", help="dump band energies for the default offsets")
+        p.add_argument("--image", required=True)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("bench", help="energy and detection benchmark over a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--methods", required=True, help="comma list, e.g. lsbm,lsbm-imp")
-    p.add_argument("--rates", required=True, help="comma list, e.g. 0.2,0.4,0.8")
-    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--svg", default=None)
-    p.set_defaults(func=_cmd_bench)
+    if command in (None, "bench"):
+        p = sub.add_parser("bench", help="energy and detection benchmark over a corpus")
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--methods", required=True, help="comma list, e.g. lsbm,lsbm-imp")
+        p.add_argument("--rates", required=True, help="comma list, e.g. 0.2,0.4,0.8")
+        p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--svg", default=None)
 
-    p = sub.add_parser("gen-corpus", help="write a seeded synthetic PGM corpus")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--size", required=True, help="image size as WxH")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_corpus)
+    if command in (None, "gen-corpus"):
+        p = sub.add_parser("gen-corpus", help="write a seeded synthetic PGM corpus")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--size", required=True, help="image size as WxH")
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=True)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
     except FramingError as exc:

@@ -1,13 +1,15 @@
+import argparse
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lsblab.cli import main
+from lsblab.cli import build_parser, main
 from lsblab.image import GrayImage, load_pgm, save_pgm
 
 from test_embed import SENDER_KEY, WRONG_KEY_COVERS, WRONG_KEY_PAYLOAD, wrong_keys
@@ -199,6 +201,33 @@ def test_gen_corpus_rejects_non_positive_size(tmp_path, capsys, recwarn, size):
     assert len(recwarn) == 0
 
 
+def test_gen_corpus_rejects_empty_corpus_before_making_the_directory(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run("gen-corpus", "--n", 0, "--size", "8x8", "--seed", 1, "--out", corpus) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: corpus size must be positive, got 0"]
+    assert not corpus.exists()
+
+
+def gen_corpus_peak_bytes(out, n):
+    """tracemalloc's peak over one in-process gen-corpus call of n 256x256 covers."""
+    tracemalloc.start()
+    try:
+        assert run("gen-corpus", "--n", n, "--size", "256x256", "--seed", 1, "--out", out) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_corpus_peak_memory_is_flat_in_n(tmp_path):
+    # a 256x256 cover is a 64 KiB raster: a corpus held until the last cover is
+    # generated would add one per extra image, about 38 rasters here
+    gen_corpus_peak_bytes(tmp_path / "warm", 1)
+    small = gen_corpus_peak_bytes(tmp_path / "small", 2)
+    large = gen_corpus_peak_bytes(tmp_path / "large", 40)
+    assert len(list((tmp_path / "large").glob("*.pgm"))) == 40
+    assert large - small < 5 * 65536, (small, large)
+
+
 def test_gen_corpus_too_large_to_allocate_reports_one_line(tmp_path, capsys):
     # about 7 EiB, more than any 64-bit address space: the allocation fails at once
     assert run("gen-corpus", "--n", 1, "--size", "1000000000000000000x1", "--seed", 1,
@@ -240,3 +269,83 @@ def test_runtime_never_imports_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+COMMANDS = ["embed", "extract", "glcm", "features", "bench", "gen-corpus"]
+
+# a complete argument list for each subcommand; parsing never opens the files
+COMPLETE = {
+    "embed": "--cover c.pgm --payload p.bin --method lsbm --out s.pgm --seed 1",
+    "extract": "--stego s.pgm --method lsbmr-imp --out p.bin --seed 1 --traversal permuted",
+    "glcm": "--image c.pgm --offset 1,0 --out g.csv",
+    "features": "--image c.pgm --out f.csv",
+    "bench": "--corpus corpus --methods lsbm --rates 0.5 --seed 1 --out r.csv --svg r.svg",
+    "gen-corpus": "--n 2 --size 8x8 --seed 1 --out corpus",
+}
+BAD_CHOICE = {
+    "embed": "--cover c.pgm --payload p.bin --method rot13 --out s.pgm --seed 1",
+    "extract": "--stego s.pgm --method lsbm --out p.bin --seed 1 --traversal spiral",
+}
+
+
+def usage_cases():
+    yield "-h"
+    yield ""
+    yield "bogus"
+    yield "--version"
+    for i, command in enumerate(COMMANDS):
+        stray = COMMANDS[i - 1]
+        yield f"{command} -h"
+        yield command
+        yield f"{command} {COMPLETE[command]} --bogus"
+        yield f"{command} {COMPLETE[command]} {stray}"
+        if command in BAD_CHOICE:
+            yield f"{command} {BAD_CHOICE[command]}"
+
+
+def exit_and_output(capsys, parse):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        parse()
+    return stop.value.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("line", list(usage_cases()))
+def test_help_and_usage_errors_match_the_full_parser(capsys, line):
+    # main builds only the named subcommand's parser; what it prints must not show it
+    argv = line.split()
+    expected = exit_and_output(capsys, lambda: build_parser().parse_args(argv))
+    assert exit_and_output(capsys, lambda: main(argv)) == expected
+    assert expected[0] in (0, 2)
+
+
+def test_usage_errors_name_the_command_argument(capsys):
+    # the full parser keeps argparse's default metavar: these errors say "command",
+    # not the "{embed,...}" list the one-command parser shows in its usage line
+    assert exit_and_output(capsys, lambda: main([]))[2].endswith(
+        "lsblab: error: the following arguments are required: command\n")
+    assert "lsblab: error: argument command: invalid choice: " in exit_and_output(
+        capsys, lambda: main(["bogus"]))[2]
+
+
+@pytest.mark.parametrize("line", ["embed -h", f"glcm {COMPLETE['glcm']} --bogus", ""])
+def test_entry_point_reads_sys_argv(capsys, monkeypatch, line):
+    argv = line.split()
+    expected = exit_and_output(capsys, lambda: build_parser().parse_args(argv))
+    monkeypatch.setattr(sys, "argv", ["lsblab", *argv])
+    assert exit_and_output(capsys, main) == expected
+
+
+def subcommands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_builds_only_that_subcommand(command):
+    assert subcommands(build_parser(command)) == [command]
+
+
+def test_full_parser_builds_every_subcommand_in_order():
+    assert subcommands(build_parser()) == COMMANDS
+    assert subcommands(build_parser("bogus")) == COMMANDS
