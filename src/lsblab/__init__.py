@@ -3,7 +3,7 @@
 from .bits import CapacityError, FramingError, bits_to_bytes, bytes_to_bits
 from .embed import EmbedConfig, embed, extract
 from .glcm import band_energies, band_features, cooccurrence
-from .harness import detection_experiment, synthetic_corpus
+from .harness import benchmark, synthetic_corpus
 from .image import GrayImage, PgmFormatError, load_pgm, save_pgm
 
 __version__ = "0.1.0"
@@ -16,10 +16,10 @@ __all__ = [
     "PgmFormatError",
     "band_energies",
     "band_features",
+    "benchmark",
     "bits_to_bytes",
     "bytes_to_bits",
     "cooccurrence",
-    "detection_experiment",
     "embed",
     "extract",
     "load_pgm",

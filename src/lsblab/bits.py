@@ -31,7 +31,7 @@ def bytes_to_bits(data: bytes | bytearray) -> np.ndarray:
 def bits_to_bytes(bits: Sequence[int]) -> bytes:
     """Pack bits (MSB first) back into bytes; inverse of bytes_to_bits."""
     if len(bits) % 8:
-        raise ValueError(f"bit count {len(bits)} is not a whole number of bytes")
+        raise FramingError(f"bit count {len(bits)} is not a whole number of bytes")
     return np.packbits(np.asarray(bits, dtype=np.uint8) & 1).tobytes()
 
 

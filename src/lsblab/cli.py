@@ -61,12 +61,9 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    stego = load_pgm(args.stego)
-    bits = extract(stego, _config(args))
-    if len(bits) % 8:
-        raise FramingError(f"recovered payload of {len(bits)} bits is not a whole number of bytes")
+    payload = bits_to_bytes(extract(load_pgm(args.stego), _config(args)))
     with open(args.out, "wb") as fh:
-        fh.write(bits_to_bytes(bits))
+        fh.write(payload)
     return 0
 
 

@@ -90,32 +90,38 @@ def _coins(seed: int, n: int) -> np.ndarray:
 _FREE = -1  # plan marker: the pixel takes a free ±1 step
 
 
+def _read(values: np.ndarray, pairwise: bool) -> np.ndarray:
+    """The bits visited values carry: each LSB, or per whole pair LSB(y1) then f_pair(y1, y2)."""
+    bits = values[: 2 * (len(values) // 2) if pairwise else len(values)] & 1
+    if pairwise:
+        bits[1::2] = f_pair(values[0 : len(bits) : 2], values[1::2])
+    return bits
+
+
 def _plan(order: np.ndarray, values: np.ndarray, framed: np.ndarray,
           pairwise: bool) -> tuple[np.ndarray, np.ndarray]:
     """The pixels the code changes, in visiting order, and their new values.
 
-    values are the cover values at order. A new value of _FREE marks a free
-    ±1 step, which saturation, the vote or a coin decides.
+    values are the cover values at order, a whole number of pairs if
+    pairwise. A new value of _FREE marks a free ±1 step, which saturation,
+    the vote or a coin decides.
     """
-    if not pairwise:
-        change = (values & 1) != framed
-        return order[change], np.full(np.count_nonzero(change), _FREE, dtype=np.int16)
-    y1, y2 = values[0::2].astype(np.int16), values[1::2].astype(np.int16)
-    s1, s2 = framed[0::2], framed[1::2]
-    keep = (y1 & 1) == s1
-    # s1 needs a y1 step: take the candidate whose pair function matches s2
-    down = ~keep & (y1 > 0) & (f_pair(y1 - 1, y2) == s2)
-    up = ~keep & ~down & (y1 < 255) & (f_pair(y1 + 1, y2) == s2)
-    # saturated y1 whose required candidate is out of range: step inward
-    # (flipping the pair function) and step y2 to flip it back
-    fallback = ~keep & ~down & ~up
-    new_y1 = y1 - down + up + fallback * np.where(y1 == 0, 1, -1)
-    # the free branch: y1 already carries s1 and either y2 step re-encodes s2
-    y2_free = (keep & (f_pair(y1, y2) != s2)) | fallback
-    pixels = np.stack((order[0::2], order[1::2]), axis=1).ravel()
-    new = np.stack((new_y1, np.full_like(new_y1, _FREE)), axis=1).ravel()
-    moved = np.stack((~keep, y2_free), axis=1).ravel()
-    return pixels[moved], new[moved]
+    moved = _read(values, pairwise) != framed  # lsbm: every wrong LSB takes a free step
+    new = np.full(len(order), _FREE, dtype=np.int16)
+    if pairwise:
+        y1, y2 = values[0::2].astype(np.int16), values[1::2].astype(np.int16)
+        s2, y1_steps = framed[1::2], moved[0::2]
+        # s1 needs a y1 step: take the candidate whose pair function matches s2
+        down = y1_steps & (y1 > 0) & (f_pair(y1 - 1, y2) == s2)
+        up = y1_steps & ~down & (y1 < 255) & (f_pair(y1 + 1, y2) == s2)
+        # saturated y1 whose required candidate is out of range: step inward
+        # (flipping the pair function) and step y2 to flip it back
+        fallback = y1_steps & ~down & ~up
+        new[0::2] = y1 - down + up + fallback * np.where(y1 == 0, 1, -1)
+        # the free branch: y1 already carries s1 and either y2 step re-encodes s2
+        moved[1::2] = (~y1_steps & moved[1::2]) | fallback
+    i = np.flatnonzero(moved)  # gathers by position beat two boolean-mask gathers
+    return order[i], new[i]
 
 
 def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> GrayImage:
@@ -250,20 +256,12 @@ def _settle(cover: GrayImage, pixels: np.ndarray, new: np.ndarray, seed: int, t:
 def extract(stego: GrayImage, config: EmbedConfig) -> np.ndarray:
     """Read back the payload under the shared seed and traversal.
 
-    lsbm reads each visited pixel's LSB; lsbmr reads LSB(y1) and
-    f_pair(y1, y2) per visited pair. The 32-bit frame then says how many
-    payload bits follow; they come back as a uint8 array.
+    _read gives the bits the visited pixels carry: lsbm reads each LSB,
+    lsbmr reads LSB(y1) and f_pair(y1, y2) per pair. The 32-bit frame then
+    says how many payload bits follow; they come back as a uint8 array.
     """
     order = traversal_order(stego, config.traversal, config.seed)
-    values = stego.pixels.ravel()[order]
-    if config.method.startswith("lsbmr"):
-        m = len(values) // 2
-        y1, y2 = values[0 : 2 * m : 2], values[1 : 2 * m : 2]
-        bits = np.empty(2 * m, dtype=np.uint8)
-        bits[0::2] = y1 & 1
-        bits[1::2] = f_pair(y1, y2)
-    else:
-        bits = values & 1
+    bits = _read(stego.pixels.ravel()[order], config.method.startswith("lsbmr"))
     declared = frame_length(bits[:FRAME_BITS])
     if FRAME_BITS + declared > len(bits):
         raise FramingError(

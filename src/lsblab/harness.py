@@ -155,15 +155,6 @@ def _split_accuracy(cover_x: np.ndarray, stego_x: np.ndarray, indices: np.ndarra
     return accuracy(model, *labelled(indices[n_train:]))
 
 
-def detection_experiment(corpus: Sequence[GrayImage], method: str | None, rate: float,
-                         threshold: int = DEFAULT_THRESHOLD, seed: int = 0) -> float:
-    """Held-out detection accuracy (percent) of an FLD on band energies.
-
-    The corpus needs at least 20 images; this is one benchmark cell.
-    """
-    return benchmark(corpus, [method], [rate], threshold, seed)[0].detect_pct
-
-
 # ---------------------------------------------------------------------------
 # benchmark report
 
@@ -201,6 +192,7 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
         raise ValueError(f"corpus of {len(corpus)} images is too small; need at least 20")
     for rate in rates:  # up front, since a null cell draws no message
         _check_rate(rate)
+    EmbedConfig("lsbm", threshold)  # raises for a negative threshold, as an embedding cell would
     cover_x = _features(corpus)
     cells = [(method, rate) for method in methods for rate in rates]
     stego_x = np.empty((len(cells),) + cover_x.shape)

@@ -2,16 +2,19 @@
 
 Only the binary flavour with maxval 255 is supported; that keeps reads and
 writes lossless byte-for-byte, which the embedding round trip depends on.
-Header fields may be separated by any whitespace and '#' comments.
+Header fields may be separated by any ASCII whitespace and '#' comments.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 from .rng import Rng
 
-_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
+# skip whitespace and '#' comments, read a token; \s on bytes is b" \t\n\r\x0b\x0c"
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
 class PgmFormatError(ValueError):
@@ -64,22 +67,10 @@ class GrayImage:
 
 
 def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#' comment runs to end of line
-            while pos < n and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        else:
-            break
-    if pos >= n:
+    token = _TOKEN.match(data, pos)
+    if not token[1]:
         raise PgmFormatError(f"{field}: header ended prematurely")
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    return data[start:pos], pos
+    return token[1], token.end()
 
 
 def _int_token(data: bytes, pos: int, field: str) -> tuple[int, int]:
@@ -107,7 +98,7 @@ def read_pgm(data: bytes) -> GrayImage:
     if maxval != 255:
         raise PgmFormatError(f"maxval: only 255 is supported, got {maxval}")
     # exactly one whitespace byte separates the header from the raster
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
+    if not data[pos : pos + 1].isspace():
         raise PgmFormatError("raster: missing separator after maxval")
     pos += 1
     raster = data[pos : pos + width * height]

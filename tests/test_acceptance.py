@@ -22,7 +22,6 @@ from lsblab.embed import (
 from lsblab.glcm import cooccurrence
 from lsblab.harness import (
     benchmark,
-    detection_experiment,
     energy_experiment,
     rate_capacity,
     synthetic_corpus,
@@ -201,7 +200,7 @@ def test_detection_trend():
         print(f"\n    accuracies: " + "  ".join(f"{m}={acc[m]:.1f}" for m in METHODS))
         assert acc["lsbm"] - acc["lsbm_improved"] >= 5.0
         assert acc["lsbmr"] - acc["lsbmr_improved"] >= 5.0
-        null = detection_experiment(corpus, None, 0.8, threshold=4, seed=EXPERIMENT_SEED)
+        null = benchmark(corpus, [None], [0.8], 4, EXPERIMENT_SEED)[0].detect_pct
         assert abs(null - 50.0) <= 5.0
 
 

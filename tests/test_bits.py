@@ -46,7 +46,7 @@ def test_frame_length_reads_uint8_arrays():
 
 
 def test_bits_to_bytes_rejects_ragged():
-    with pytest.raises(ValueError):
+    with pytest.raises(FramingError, match="bit count 3 is not a whole number of bytes"):
         bits_to_bytes([1, 0, 1])
 
 

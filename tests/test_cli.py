@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lsblab.cli import build_parser, main
+from lsblab.embed import EmbedConfig, embed
 from lsblab.image import GrayImage, load_pgm, save_pgm
 
 from test_embed import SENDER_KEY, WRONG_KEY_COVERS, WRONG_KEY_PAYLOAD, wrong_keys
@@ -98,6 +99,16 @@ def test_wrong_key_extract_fails_cleanly_or_differs(tmp_path, capsys, family, co
         else:
             assert status == 0 and err == ""
             assert out.read_bytes() != WRONG_KEY_PAYLOAD
+
+
+def test_extract_of_a_ragged_payload_reports_framing(tmp_path, capsys):
+    # a 12-bit message frames and extracts, but is not a whole number of bytes
+    stego, out = tmp_path / "stego.pgm", tmp_path / "out.bin"
+    cover = GrayImage(np.full((8, 8), 100, dtype=np.uint8))
+    save_pgm(stego, embed(cover, [1, 0, 1] * 4, EmbedConfig(method="lsbm", seed=3)))
+    assert run("extract", "--method", "lsbm", "--stego", stego, "--out", out, "--seed", 3) == 1
+    assert capsys.readouterr().err == "framing: bit count 12 is not a whole number of bytes\n"
+    assert not out.exists()
 
 
 def test_embed_capacity_error_exit_code(tmp_path, cover_path):

@@ -14,7 +14,6 @@ from lsblab.harness import (
     _split_accuracy,
     accuracy,
     benchmark,
-    detection_experiment,
     energy_experiment,
     report_csv,
     report_svg,
@@ -157,19 +156,19 @@ def test_energy_rejects_infeasible_rate():
 
 def test_null_detection_is_exactly_chance():
     corpus = synthetic_corpus(100, 32, 32, seed=12)
-    acc = detection_experiment(corpus, None, 0.8, seed=13)
+    acc = benchmark(corpus, [None], [0.8], seed=13)[0].detect_pct
     assert abs(acc - 50.0) <= 5.0
 
 
 def test_detection_requires_corpus_and_split():
     corpus = synthetic_corpus(10, 32, 32, seed=14)
     with pytest.raises(ValueError):
-        detection_experiment(corpus, "lsbm", 0.8, seed=0)
+        benchmark(corpus, ["lsbm"], [0.8], seed=0)
 
 
 def test_detection_finds_heavy_embedding():
     corpus = synthetic_corpus(40, 48, 48, seed=15)
-    acc = detection_experiment(corpus, "lsbm", 0.8, seed=16)
+    acc = benchmark(corpus, ["lsbm"], [0.8], seed=16)[0].detect_pct
     assert acc > 60.0
 
 
@@ -300,6 +299,17 @@ def test_benchmark_rejects_rate_above_one_before_any_cell(monkeypatch, methods, 
     monkeypatch.setattr(lsblab.harness, "band_features", no_features)
     with pytest.raises(ValueError, match=r"rate must be in \(0, 1\], got"):
         benchmark(synthetic_corpus(20, 16, 16, seed=25), methods, [0.5, rate], seed=26)
+
+
+@pytest.mark.parametrize("methods", [[None], [None, "lsbm"]])
+def test_benchmark_rejects_negative_threshold_before_any_cell(monkeypatch, methods):
+    # EmbedConfig's own error, even when no cell embeds
+    def no_features(image):
+        raise AssertionError("band_features called before the threshold check")
+
+    monkeypatch.setattr(lsblab.harness, "band_features", no_features)
+    with pytest.raises(ValueError, match="threshold must be non-negative, got -3"):
+        benchmark(synthetic_corpus(20, 8, 8, seed=1), methods, [0.5], threshold=-3)
 
 
 def test_report_svg_is_valid_and_deterministic():

@@ -59,6 +59,38 @@ def test_read_errors_name_the_field(data, field):
         read_pgm(data)
 
 
+# the header's whitespace is exactly b" \t\n\r\x0b\x0c" and a comment runs to \n or \r
+@pytest.mark.parametrize("data", [
+    b"P5\x0b2\x0c1\x0b255\x0c",
+    b"P5\x0c2 1\x0b255\n",
+    b"P5 # ended by a carriage return\r2 1 255\n",
+    b"P5 #comment\r2\t#\r1 255\r",
+])
+def test_header_reads_every_ascii_whitespace_and_cr_ended_comments(data):
+    assert read_pgm(data + bytes([9, 7])).pixels.ravel().tolist() == [9, 7]
+
+
+@pytest.mark.parametrize("sep", [b"\x1c", b"\x85", b"\xa0"])
+@pytest.mark.parametrize("template, field", [
+    (b"P5%s2 1 255\n", "magic"),
+    (b"P5 2%s1 255\n", "width"),
+    (b"P5 2 1%s255\n", "height"),
+])
+def test_header_rejects_non_ascii_whitespace_as_separator(sep, template, field):
+    # str.isspace() holds for all three, bytes whitespace for none
+    with pytest.raises(PgmFormatError, match=field):
+        read_pgm(template.replace(b"%s", sep) + bytes([9, 7]))
+
+
+@pytest.mark.parametrize("data, field", [
+    (b"P5 2#c 1 255\n", "width"),
+    (b"P5 2 1 255#c\n", "maxval"),
+])
+def test_header_hash_inside_a_token_is_no_comment(data, field):
+    with pytest.raises(PgmFormatError, match=field):
+        read_pgm(data + bytes([9, 7]))
+
+
 def test_write_canonical_header():
     img = GrayImage(np.array([[7], [9]], dtype=np.uint8))
     assert write_pgm(img) == b"P5\n1 2\n255\n" + bytes([7, 9])

@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+import lsblab
 from lsblab.bits import bytes_to_bits
 from lsblab.embed import EmbedConfig, embed
 from lsblab.harness import synthetic_image
@@ -21,6 +22,12 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(readme_block("import lsblab as L"), {})
     assert (tmp_path / "stego.pgm").is_file()
+
+
+def test_readme_library_block_names_every_export():
+    # "lsblab exports exactly these names plus the error classes"
+    named = set(re.findall(r"\bL\.(\w+)", readme_block("import lsblab as L")))
+    assert named | {"CapacityError", "FramingError", "PgmFormatError"} == set(lsblab.__all__)
 
 
 def test_readme_stdlib_decoder_reads_lsbm_stego():
