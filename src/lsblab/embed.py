@@ -24,10 +24,13 @@ just before it in its run (in raster order, its left neighbor), counts that
 change's new value: a fixed one, or whichever of a free step's -1 and +1
 one scan in visiting order finds taken. So a raster-order run is about one
 image row. At T <= 1 every vote ties: the baselines (T = 0) are one run.
+Plans of several covers (a benchmark cell's images) settle together, run r
+of each in pass r, with each cover's own coins: the same bytes as one by one.
 
-The raster has a one-pixel border of -1024, so the vote reads eight fixed
-offsets with no bounds checks. T is capped at 256: real neighbors differ
-by at most 255, so every T >= 256 admits all of them and no border pixel.
+Each raster has a one-pixel border of -1024, so the vote reads eight fixed
+offsets with no bounds checks and never across stacked rasters. T is capped
+at 256: real neighbors differ by at most 255, so every T >= 256 admits all
+of them and no border pixel.
 """
 
 from __future__ import annotations
@@ -77,9 +80,13 @@ def f_pair(y1, y2):
 _BORDER = -1024  # differs from every pixel value 0..255 by at least 1024
 
 
-def _bordered(pixels: np.ndarray) -> np.ndarray:
-    """The raster as a flat int16 array with a one-pixel border of _BORDER, row stride width + 2."""
-    return np.pad(pixels.astype(np.int16), 1, constant_values=_BORDER).ravel()
+def _stack(covers: Sequence[GrayImage]) -> np.ndarray:
+    """The covers as int16 blocks of one shape, bordered by _BORDER and padded to the largest."""
+    h, w = max(cover.height for cover in covers) + 2, max(cover.width for cover in covers) + 2
+    stack = np.full((len(covers), h, w), _BORDER, dtype=np.int16)
+    for block, cover in zip(stack, covers):
+        block[1 : cover.height + 1, 1 : cover.width + 1] = cover.pixels
+    return stack
 
 
 def _coins(seed: int, n: int) -> np.ndarray:
@@ -133,34 +140,39 @@ def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> Gray
     docstring): one run at T <= 1, about one image row per run in raster
     order.
     """
-    return _embed(cover, frame_bits(message), config,
-                  traversal_order(cover, config.traversal, config.seed))
+    job = _job(cover, frame_bits(message), config,
+               traversal_order(cover, config.traversal, config.seed))
+    return _settle(_stack([cover]), [job], _threshold(config))[0]
 
 
-def _embed(cover: GrayImage, framed: np.ndarray, config: EmbedConfig,
-           order: np.ndarray) -> GrayImage:
-    """embed, given the framed bits and the config's full traversal order; writes neither."""
-    pairwise = config.method.startswith("lsbmr")
+def _capacity(cover: GrayImage, n_framed: int, pairwise: bool) -> None:
     capacity = 2 * (cover.n_pixels // 2) if pairwise else cover.n_pixels
-    if len(framed) > capacity:
-        raise CapacityError(
-            f"framed message of {len(framed)} bits exceeds capacity {capacity} "
-            f"({cover.width}x{cover.height} cover)"
-        )
+    if n_framed > capacity:
+        raise CapacityError(f"framed message of {n_framed} bits exceeds capacity {capacity} "
+                            f"({cover.width}x{cover.height} cover)")
+
+
+def _job(cover: GrayImage, framed: np.ndarray, config: EmbedConfig, order: np.ndarray) -> tuple:
+    """embed's _settle job (cover, pixels, new, coin seed), given the framed bits and full order."""
+    pairwise = config.method.startswith("lsbmr")
+    _capacity(cover, len(framed), pairwise)
     if pairwise and len(framed) & 1:
         framed = np.append(framed, np.uint8(0))  # pad to a whole pair; the frame length ignores it
     order = order[: len(framed)]
-    pixels, new = _plan(order, cover.pixels.ravel()[order], framed, pairwise)
-    t = min(config.threshold, 256) if config.method.endswith("_improved") else 0
-    return _settle(cover, pixels, new, config.seed, t)
+    return cover, *_plan(order, cover.pixels.ravel()[order], framed, pairwise), config.seed
 
 
-def _runs(at: np.ndarray, free: np.ndarray, around: np.ndarray, size: int) -> list[int]:
-    """Where each run of the changes at `at` starts, then len(at).
+def _threshold(config: EmbedConfig) -> int:
+    """_settle's vote threshold: the config's, capped at 256, for the improved methods; else 0."""
+    return min(config.threshold, 256) if config.method.endswith("_improved") else 0
 
-    A free change starts a run when it neighbors a change of the current run
-    other than the one planned just before it. around are the offsets a vote
-    reads in a raster of `size` pixels.
+
+def _runs(at: np.ndarray, free: np.ndarray, around: np.ndarray, size: int, ends: list) -> list[int]:
+    """Where each run of the changes at `at` starts, then len(at); job g's changes end at ends[g].
+
+    A job's first change starts a run, and so does a free change that
+    neighbors a change of the current run other than the one planned just
+    before it. around are the offsets a vote reads in a raster of `size` pixels.
     """
     n, fi = len(at), np.flatnonzero(free).astype(np.int32)
     dep = np.full(len(fi), -1, dtype=np.int32)  # latest earlier neighboring change but i - 1
@@ -173,9 +185,10 @@ def _runs(at: np.ndarray, free: np.ndarray, around: np.ndarray, size: int) -> li
             np.maximum(dep, seen, out=dep, where=seen < fi - 1)
     reach = np.maximum.accumulate(dep)  # sorted: the first dep >= s reads the run at s
     starts = [0]
-    while starts[-1] < n:
-        j = int(reach.searchsorted(np.int32(starts[-1])))  # a Python int would copy reach
-        starts.append(int(fi[j]) if j < len(fi) else n)
+    for end in ends:  # an earlier job's deps all sit before this job's first change
+        while starts[-1] < end:
+            j = int(reach.searchsorted(np.int32(starts[-1])))  # a Python int would copy reach
+            starts.append(min(int(fi[j]), end) if j < len(fi) else end)
     return starts
 
 
@@ -188,34 +201,44 @@ def _pull(d: np.ndarray, t: int) -> np.ndarray:
     return np.sign(d) * ((d > -t) & (d < t))
 
 
-def _settle(cover: GrayImage, pixels: np.ndarray, new: np.ndarray, seed: int, t: int) -> GrayImage:
-    """The cover with the planned changes made; t (at most 256) is the vote threshold.
+def _settle(stack: np.ndarray, jobs: Sequence[tuple], t: int) -> list[GrayImage]:
+    """Each job's cover with its planned changes made; t (at most 256) is the vote threshold.
 
-    Each free step follows the README rule: a saturated pixel steps inward,
-    the vote (its neighbors' summed _pull) takes the step with the smaller
-    sum, and a tie or an empty mask takes the next coin. A run (see _runs)
-    votes with one gather; chained changes then vote on arrays, and by one
-    scan where a free predecessor's step decides.
+    stack is _stack of the jobs' covers, settled in place. Each free step
+    follows the README rule: a saturated pixel steps inward, the vote (its
+    neighbors' summed _pull) takes the step with the smaller sum, and a tie
+    or an empty mask takes its job's next coin. Pass r settles run r (see
+    _runs) of every job with one gather; chained changes then vote on
+    arrays, and by one scan per job where a free predecessor's step decides.
     """
-    w, stride = cover.width, cover.width + 2
-    out = _bordered(cover.pixels)
-    # pixel y * w + x sits at (y + 1) * (w + 2) + x + 1 in the bordered raster
-    at = (pixels + 2 * (pixels // w) + w + 3).astype(np.int32)
+    stride, block = stack.shape[2], stack[0].size  # job g's block starts at g * block
+    out, ends = stack.ravel(), np.cumsum([len(p) for _, p, _, _ in jobs]).tolist()
+    # pixel y * w + x of job g sits at g * block + (y + 1) * stride + x + 1
+    at = np.concatenate([p + (stride - cover.width) * (p // cover.width) + g * block + stride + 1
+                         for g, (cover, p, _, _) in enumerate(jobs)], dtype=np.int32)
+    new = np.concatenate([n for _, _, n, _ in jobs])
     free = new == _FREE
-    coins = _coins(seed, int(np.count_nonzero(free)))
+    counts = [int(np.count_nonzero(free[lo:end])) for lo, end in zip([0] + ends, ends)]
+    coins = np.concatenate([_coins(seed, n) for (*_, seed), n in zip(jobs, counts)])
+    nxt = np.cumsum([0] + counts[:-1]).tolist()  # each job's next coin in the joined stream
     around = np.array([-stride - 1, -stride, -stride + 1, -1, 1, stride - 1, stride, stride + 1]
                       if t > 1 else [], dtype=np.int32)  # at T <= 1 every vote ties
     linked = np.zeros(len(at), dtype=bool)  # a free change next to the change before it
     if t > 1:  # neighbors sit 1, stride - 1, stride or stride + 1 apart
         gap = np.abs(np.diff(at))
         linked[1:] = free[1:] & ((gap == 1) | (np.abs(gap - stride) <= 1))
-    starts = _runs(at, free, around, len(out))
+    starts = _runs(at, free, around, len(out), ends)
     # each run votes on the raster as it stood before the run, then writes. A
     # chained change neighbors the change planned just before it, in its run:
     # its vote takes that change's new value, or both candidates if it is free
     linked[starts[:-1]] = False  # a run's first change reads its predecessor as written
-    used = 0
-    chains = np.logical_or.reduceat(linked, starts[:-1]).tolist()  # the runs with chained changes
+    if len(jobs) > 1:  # number each change's run in its job; pass r is then one slice, job-major
+        run = np.repeat(np.arange(len(starts) - 1, dtype=np.int32), np.diff(starts))
+        run -= np.repeat(np.searchsorted(starts, [0] + ends[:-1]), np.diff([0] + ends))
+        order = np.argsort(run, kind="stable")
+        at, new, free, linked = at[order], new[order], free[order], linked[order]
+        starts = [0] + np.cumsum(np.bincount(run)).tolist()  # where each pass starts
+    chains = np.logical_or.reduceat(linked, starts[:-1]).tolist()  # the passes with chained changes
     for a, b, chain in zip(starts, starts[1:], chains):
         q = at[a:b][free[a:b]]
         c = out[q]
@@ -224,6 +247,7 @@ def _settle(cover: GrayImage, pixels: np.ndarray, new: np.ndarray, seed: int, t:
         score[c == 255] = 9
         step = -np.sign(score)
         tie = step == 0
+        g = q // block if len(jobs) > 1 else None  # each free change's job
         if chain:
             i = a + free[a:b].nonzero()[0]
             chained = linked[i].nonzero()[0]
@@ -235,22 +259,35 @@ def _settle(cover: GrayImage, pixels: np.ndarray, new: np.ndarray, seed: int, t:
             down, up = -np.sign(rest[:, None] + _pull(cc[:, None] - after, t)).T
             step[chained], tie[chained] = down, (down == 0) & (up == 0)
             scan = (down != up).nonzero()[0]  # the predecessor's step decides
-            if len(scan):  # a tie takes the coin after all the run's earlier ties
-                s, before = step.tolist(), (np.cumsum(tie) - tie).tolist()  # ties found above
-                flips, extra = coins[used : used + len(q)].tolist(), 0  # extra: ties found here
-                for j, d, u in zip(chained[scan].tolist(), down[scan].tolist(), up[scan].tolist()):
-                    # free change j - 1 is settled, by now; a tie above takes its coin here
-                    s[j] = u if (s[j - 1] or flips[before[j - 1] + extra]) > 0 else d
-                    if not s[j]:
-                        s[j], tie[j] = flips[before[j] + extra], True
-                        extra += 1
+            if len(scan):  # a tie takes the coin after all its job's earlier ties in the pass
+                s, js, before, cuts = step.tolist(), chained[scan], np.cumsum(tie) - tie, [0, len(scan)]
+                if g is not None:  # count a job's ties from its first free change in the pass
+                    before -= before[np.searchsorted(g, g)]
+                    cuts[1:1] = (np.flatnonzero(np.diff(g[js])) + 1).tolist()
+                before, js = before.tolist(), js.tolist()  # before: the ties found above
+                ds, us = down[scan].tolist(), up[scan].tolist()
+                for x, y in zip(cuts, cuts[1:]):  # one job's scan; extra: ties found here
+                    k = 0 if g is None else g[js[x]]
+                    flips, extra = coins[nxt[k] : nxt[k] + js[y - 1] + 1].tolist(), 0
+                    for j, d, u in zip(js[x:y], ds[x:y], us[x:y]):
+                        # free change j - 1 is settled, by now; a tie above takes its coin here
+                        s[j] = u if (s[j - 1] or flips[before[j - 1] + extra]) > 0 else d
+                        if not s[j]:
+                            s[j], tie[j] = flips[before[j] + extra], True
+                            extra += 1
                 step = np.array(s)
         tie = tie.nonzero()[0]
-        step[tie] = coins[used : used + len(tie)]
-        used += len(tie)
+        if g is None:  # the one job's next coins
+            step[tie] = coins[nxt[0] : nxt[0] + len(tie)]
+            nxt[0] += len(tie)
+        else:  # the n-th tie of a job in this pass takes its n-th next coin
+            g, nxt = g[tie], np.array(nxt)
+            step[tie] = coins[nxt[g] + np.arange(len(tie)) - np.searchsorted(g, g)]
+            nxt = (nxt + np.bincount(g, minlength=len(jobs))).tolist()
         out[at[a:b]] = new[a:b]  # the free ones are overwritten next
         out[q] = c + step
-    return GrayImage(out.reshape(-1, stride)[1:-1, 1:-1].astype(np.uint8))
+    return [GrayImage(raster[1 : cover.height + 1, 1 : cover.width + 1].astype(np.uint8))
+            for (cover, *_), raster in zip(jobs, out.reshape(stack.shape))]
 
 
 def extract(stego: GrayImage, config: EmbedConfig) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bits import CapacityError, FRAME_BITS, frame_bits
-from .embed import DEFAULT_THRESHOLD, EmbedConfig, _embed, embed
+from .embed import DEFAULT_THRESHOLD, EmbedConfig, _capacity, _job, _settle, _stack, _threshold, embed
 from .glcm import N_BANDS, band_features
 from .image import GrayImage, traversal_order
 from .rng import Rng, derive_seed
@@ -89,14 +89,18 @@ def _check_rate(rate: float) -> None:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
 
 
-def _message_bits(rate: float, n_pixels: int, seed: int) -> np.ndarray:
+def _budget(rate: float, n_pixels: int) -> int:  # a message's framed bits at this rate
     _check_rate(rate)
     budget = rate_capacity(max(rate, 0.0), n_pixels)
     if budget <= FRAME_BITS:
         raise CapacityError(
             f"rate {rate:g} on {n_pixels} pixels leaves no room for the 32-bit frame"
         )
-    return Rng(seed).bits(budget - FRAME_BITS)
+    return budget
+
+
+def _message_bits(rate: float, n_pixels: int, seed: int) -> np.ndarray:
+    return Rng(seed).bits(_budget(rate, n_pixels) - FRAME_BITS)
 
 
 def _embed_for_experiment(image: GrayImage, method: str | None, rate: float,
@@ -177,6 +181,9 @@ class ReportRow:
     detect_pct: float
 
 
+_CHUNK_PIXELS = 1 << 15  # a benchmark chunk's pixels: its images settle each cell in one batch
+
+
 def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
               rates: Sequence[float], threshold: int = DEFAULT_THRESHOLD,
               seed: int = 0) -> list[ReportRow]:
@@ -186,29 +193,42 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
     per cell: its cover features, its keyed permutation (one shuffle, shared
     by every method and rate) and its framed message at each rate (shared by
     every method). A null cell reuses the cover features. The train/test
-    split is drawn once. Nothing is kept between calls.
+    split is drawn once. A cell's images settle in shared passes, at most
+    _CHUNK_PIXELS pixels at a time, with the same bytes. Nothing is kept between calls.
     """
     if len(corpus) < 20:
         raise ValueError(f"corpus of {len(corpus)} images is too small; need at least 20")
     for rate in rates:  # up front, since a null cell draws no message
         _check_rate(rate)
     EmbedConfig("lsbm", threshold)  # raises for a negative threshold, as an embedding cell would
-    cover_x = _features(corpus)
     cells = [(method, rate) for method in methods for rate in rates]
+    for method, rate in cells:  # in the per-cell order, so the first cell and image to fail raise
+        for image in corpus if method else ():
+            budget = _budget(rate, image.n_pixels)
+            _capacity(image, budget, EmbedConfig(method).method.startswith("lsbmr"))
+    cover_x = _features(corpus)
     stego_x = np.empty((len(cells),) + cover_x.shape)
-    for i, image in enumerate(corpus):
-        order, framed = None, {}
+    per_chunk = max(1, _CHUNK_PIXELS // max(image.n_pixels for image in corpus))
+    for lo in range(0, len(corpus), per_chunk):
+        chunk = range(lo, min(lo + per_chunk, len(corpus)))
+        orders, framed = None, {}
         for c, (method, rate) in enumerate(cells):
             if method is None:  # null experiment: the "stego" image is the cover itself
-                stego_x[c, i] = cover_x[i]
+                stego_x[c, chunk] = cover_x[chunk]
                 continue
+            configs = [_experiment_config(method, threshold, i, seed) for i in chunk]
+            if orders is None:
+                orders = [traversal_order(corpus[i], config.traversal, config.seed)
+                          for i, config in zip(chunk, configs)]
+                stack = _stack([corpus[i] for i in chunk])
             if rate not in framed:
-                message_seed = derive_seed(seed, i, _TAG_MESSAGE)
-                framed[rate] = frame_bits(_message_bits(rate, image.n_pixels, message_seed))
-            config = _experiment_config(method, threshold, i, seed)
-            if order is None:
-                order = traversal_order(image, config.traversal, config.seed)
-            stego_x[c, i] = band_features(_embed(image, framed[rate], config, order))
+                framed[rate] = [frame_bits(_message_bits(rate, corpus[i].n_pixels,
+                                                         derive_seed(seed, i, _TAG_MESSAGE)))
+                                for i in chunk]
+            jobs = [_job(corpus[i], bits, config, order)
+                    for i, bits, config, order in zip(chunk, framed[rate], configs, orders)]
+            for i, stego in zip(chunk, _settle(stack.copy(), jobs, _threshold(configs[0]))):
+                stego_x[c, i] = band_features(stego)
     cover_e = _mean_energies(cover_x).mean(axis=0)
     split = Rng(derive_seed(seed, _TAG_SPLIT)).shuffle(len(corpus))
     return [ReportRow(method, rate, threshold, seed, len(corpus), cover_e,

@@ -16,6 +16,7 @@ from lsblab.embed import (
     EmbedConfig,
     _pull,
     _settle,
+    _stack,
     embed,
     extract,
 )
@@ -162,8 +163,9 @@ def test_direction_choice_worked_example():
         assert _pull(100 - np.delete(block.ravel(), 4), 4).sum() == (sad_plus - sad_minus) // 2 == -3
         # the center as a plan's one free change steps up, whatever the coin
         for seed in range(10):
-            stego = _settle(GrayImage(block.astype(np.uint8)), np.array([4]),
-                            np.array([_FREE], dtype=np.int16), seed, 4)
+            cover = GrayImage(block.astype(np.uint8))
+            (stego,) = _settle(_stack([cover]), [(cover, np.array([4]),
+                                                  np.array([_FREE], dtype=np.int16), seed)], 4)
             assert stego.pixels[1, 1] == 101
 
 

@@ -13,8 +13,10 @@ from lsblab.embed import (
     _FREE,
     EmbedConfig,
     _coins,
+    _job,
     _plan,
     _settle,
+    _stack,
     embed,
     extract,
     f_pair,
@@ -78,7 +80,8 @@ def test_f_pair_on_uint8_arrays_matches_scalar():
 def one_step(rows, idx, seed=0, threshold=4):
     """The step _settle gives flat pixel idx of a block when it is the plan's one free change."""
     cover = GrayImage(np.array(rows, dtype=np.uint8))
-    stego = _settle(cover, np.array([idx]), np.array([_FREE], dtype=np.int16), seed, threshold)
+    job = (cover, np.array([idx]), np.array([_FREE], dtype=np.int16), seed)
+    (stego,) = _settle(_stack([cover]), [job], threshold)
     return int(stego.pixels.ravel()[idx]) - int(cover.pixels.ravel()[idx])
 
 
@@ -434,7 +437,8 @@ def settle(cover, bits, cfg):
     order = traversal_order(cover, cfg.traversal, cfg.seed)[: len(framed)]
     pixels, new = _plan(order, cover.pixels.ravel()[order], framed, pairwise)
     t = min(cfg.threshold, 256) if cfg.method.endswith("_improved") else 0
-    return _settle(cover, pixels, new, cfg.seed, t).pixels.tolist()
+    (stego,) = _settle(_stack([cover]), [(cover, pixels, new, cfg.seed)], t)
+    return stego.pixels.tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -498,6 +502,37 @@ def test_settle_paths_match_reference_on_many_runs(method, traversal):
     assert starts == greedy  # the runs are maximal
     assert len(starts) > 40  # permuted 121 and 47 runs, raster 52 and 50
     assert stego.pixels.tolist() == reference_embed(cover, bits, cfg)
+
+
+@pytest.mark.parametrize("threshold", [2, 4, 256])
+@pytest.mark.parametrize("seed", range(4))
+def test_chained_change_after_a_saturated_free_predecessor(threshold, seed):
+    # every LSB of the strip is wrong, so each pixel is a free change chained to
+    # the one before it, and every other one sits at 0 or 255: the chained vote
+    # reads its predecessor after a -1 and after a +1 step, so at -1 or 256
+    bits = Rng(seed).bits(32).tolist()
+    framed = frame_bits(bits).tolist()
+    edge = [0 if bit else 255 for bit in framed[0::2]]
+    near = [(2 if bit else 1) if e == 0 else (254 if bit else 253)
+            for e, bit in zip(edge, framed[1::2])]
+    cover = GrayImage(np.array([[v for pair in zip(edge, near) for v in pair]], dtype=np.uint8))
+    cfg = EmbedConfig(method="lsbm_improved", threshold=threshold, seed=seed)
+    assert settle(cover, bits, cfg) == reference_embed(cover, bits, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batch_settles_each_job_as_alone(data):
+    # covers of mixed widths (strips included) and plans of both families and
+    # traversals share one T and the passes of one _settle; raster plans chain
+    t = data.draw(st.sampled_from([0, 1, 2, 4, 256]), label="T")
+    jobs = []
+    for _ in range(data.draw(st.integers(2, 4), label="jobs")):
+        cover, bits, cfg = draw_case(data)
+        order = traversal_order(cover, cfg.traversal, cfg.seed)
+        jobs.append(_job(cover, frame_bits(bits), cfg, order))
+    alone = [_settle(_stack([job[0]]), [job], t)[0] for job in jobs]
+    assert _settle(_stack([job[0] for job in jobs]), jobs, t) == alone
 
 
 @settings(max_examples=40, deadline=None)

@@ -240,12 +240,15 @@ def mixed_corpus(seed):
     return [synthetic_image(*MIXED_SIZES[i % len(MIXED_SIZES)], seed=seed + i) for i in range(20)]
 
 
+@pytest.mark.parametrize("chunk_pixels", [lsblab.harness._CHUNK_PIXELS, 1500])
 @pytest.mark.parametrize("threshold", [0, 4, 300])
 @pytest.mark.parametrize("methods, rates", [
     ([None, "lsbm", "lsbm_improved", "lsbm"], [1.0, 0.4, 1.0]),
     (["lsbmr", None, "lsbmr_improved", "lsbmr_improved"], [0.6, 0.3, 0.6]),
 ])
-def test_benchmark_matches_per_cell_reference(methods, rates, threshold):
+def test_benchmark_matches_per_cell_reference(monkeypatch, methods, rates, threshold, chunk_pixels):
+    # the whole corpus settles in one batch, or in chunks of two covers
+    monkeypatch.setattr(lsblab.harness, "_CHUNK_PIXELS", chunk_pixels)
     corpus = mixed_corpus(19)
     got = benchmark(corpus, methods, rates, threshold, seed=20)
     want = reference_benchmark(corpus, methods, rates, threshold, seed=20)
@@ -263,6 +266,33 @@ def test_benchmark_capacity_error_matches_per_cell_reference():
         errors.append(str(info.value))
     assert errors[0] == errors[1]
     assert "135 bits exceeds capacity 134" in errors[0]
+
+
+def test_benchmark_capacity_error_in_a_later_chunk_matches_per_cell_reference(monkeypatch):
+    # chunks of ten covers: cover 15 is odd-sized, so lsbmr cannot carry rate 1.0
+    # there, and cover 3 is too small for a rate-0.05 frame. The first embedding
+    # cell fails only in the second chunk, the next one already in the first
+    def no_settle(*args):
+        raise AssertionError("a chunk settled before the capacity check")
+
+    corpus = [synthetic_image(*((16, 16) if i == 3 else (31, 33) if i == 15 else (32, 32)),
+                              seed=40 + i) for i in range(20)]
+    monkeypatch.setattr(lsblab.harness, "_CHUNK_PIXELS", 10 * 32 * 32)
+    monkeypatch.setattr(lsblab.harness, "_settle", no_settle)
+    errors = []
+    for run in (benchmark, reference_benchmark):
+        with pytest.raises(CapacityError) as info:
+            run(corpus, [None, "lsbmr"], [1.0, 0.05], 4, 41)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == "framed message of 1023 bits exceeds capacity 1022 (31x33 cover)"
+
+
+def test_benchmark_unknown_method_raises_before_a_later_cells_capacity_error():
+    # the first cell's EmbedConfig error, though cover 1 cannot carry lsbmr at rate 1.0
+    corpus = mixed_corpus(21)
+    for run in (benchmark, reference_benchmark):
+        with pytest.raises(ValueError, match="unknown method 'lsbx'"):
+            run(corpus, ["lsbx", "lsbmr"], [1.0], 4, 22)
 
 
 @pytest.mark.parametrize("methods, rates, non_null_cells", [
