@@ -535,6 +535,20 @@ def test_batch_settles_each_job_as_alone(data):
     assert _settle(_stack([job[0] for job in jobs]), jobs, t) == alone
 
 
+@pytest.mark.parametrize("method", ["lsbm_improved", "lsbmr_improved"])
+def test_batch_of_chained_raster_plans_settles_each_as_alone(method):
+    # smooth covers of four widths at rate 0.8 in raster order: the passes hold
+    # chained runs of several jobs, and each job's scan finds ties of its own
+    covers = [synthetic_image(w, h, seed=34 + w) for w, h in ((64, 16), (48, 20), (33, 17), (200, 1))]
+    jobs = []
+    for i, cover in enumerate(covers):
+        cfg = EmbedConfig(method=method, threshold=4, seed=35 + i)
+        framed = frame_bits(Rng(36 + i).bits(int(0.8 * cover.n_pixels) - 32))
+        jobs.append(_job(cover, framed, cfg, traversal_order(cover, "raster", cfg.seed)))
+    alone = [_settle(_stack([job[0]]), [job], 4)[0] for job in jobs]
+    assert _settle(_stack(covers), jobs, 4) == alone
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_wire_contract_in_stdlib_terms(data):
