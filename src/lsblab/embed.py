@@ -26,6 +26,8 @@ one scan in visiting order finds taken. So a raster-order run is about one
 image row. At T <= 1 every vote ties: the baselines (T = 0) are one run.
 Plans of several covers (a benchmark cell's images) settle together, run r
 of each in pass r, with each cover's own coins: the same bytes as one by one.
+Each pixel is written once, by its own change, so only the neighbor gather
+reads what earlier runs wrote; the rest of every vote is known up front.
 
 Each raster has a one-pixel border of -1024, so the vote reads eight fixed
 offsets with no bounds checks and never across stacked rasters. T is capped
@@ -179,10 +181,10 @@ def _runs(at: np.ndarray, free: np.ndarray, around: np.ndarray, size: int, ends:
     if len(around):
         visit = np.full(size, -1, dtype=np.int32)
         visit[at] = np.arange(n, dtype=np.int32)
-        q = at[free]
+        q, last = at[free], fi - 1
         for offset in around.tolist():
-            seen = visit[q + offset]
-            np.maximum(dep, seen, out=dep, where=seen < fi - 1)
+            seen = visit.take(q + offset)
+            np.maximum(dep, seen, out=dep, where=seen < last)
     reach = np.maximum.accumulate(dep)  # sorted: the first dep >= s reads the run at s
     starts = [0]
     for end in ends:  # an earlier job's deps all sit before this job's first change
@@ -201,6 +203,11 @@ def _pull(d: np.ndarray, t: int) -> np.ndarray:
     return np.sign(d) * ((d > -t) & (d < t))
 
 
+def _pulls(t: int) -> np.ndarray:
+    """_pull(d, t) at index d + 256, for every d = c - n a vote meets: n is _BORDER or -1..256."""
+    return _pull(np.arange(-256, 1280, dtype=np.int16), t)
+
+
 def _settle(stack: np.ndarray, jobs: Sequence[tuple], t: int) -> list[GrayImage]:
     """Each job's cover with its planned changes made; t (at most 256) is the vote threshold.
 
@@ -208,8 +215,10 @@ def _settle(stack: np.ndarray, jobs: Sequence[tuple], t: int) -> list[GrayImage]
     follows the README rule: a saturated pixel steps inward, the vote (its
     neighbors' summed _pull) takes the step with the smaller sum, and a tie
     or an empty mask takes its job's next coin. Pass r settles run r (see
-    _runs) of every job with one gather; chained changes then vote on
-    arrays, and by one scan per job where a free predecessor's step decides.
+    _runs) of every job: one gather reads what earlier passes wrote, chained
+    changes add the swing of their predecessor's step, and one scan per job
+    settles those whose predecessor's step decides. Cover values, swings and
+    pass bounds are fixed for the call (see the module docstring): read once.
     """
     stride, block = stack.shape[2], stack[0].size  # job g's block starts at g * block
     out, ends = stack.ravel(), np.cumsum([len(p) for _, p, _, _ in jobs]).tolist()
@@ -238,33 +247,31 @@ def _settle(stack: np.ndarray, jobs: Sequence[tuple], t: int) -> list[GrayImage]
         order = np.argsort(run, kind="stable")
         at, new, free, linked = at[order], new[order], free[order], linked[order]
         starts = [0] + np.cumsum(np.bincount(run)).tolist()  # where each pass starts
-    chains = np.logical_or.reduceat(linked, starts[:-1]).tolist()  # the passes with chained changes
-    for a, b, chain in zip(starts, starts[1:], chains):
-        q = at[a:b][free[a:b]]
-        c = out[q]
-        score = _pull(c[:, None] - out[q[:, None] + around], t).sum(axis=1)
-        score[c == 0] = -9  # saturated pixels step inward: eight voters never outweigh 9
-        score[c == 255] = 9
-        step = -np.sign(score)
-        tie = step == 0
+    # pass r's free changes are fi[fs[r]:fs[r + 1]], its chained ones li[cs[r]:cs[r + 1]]
+    fi, li, pulls = np.flatnonzero(free), np.flatnonzero(linked), _pulls(t)
+    fq, fs, cs = at[fi], np.searchsorted(fi, starts).tolist(), np.searchsorted(li, starts).tolist()
+    fc, cc, was, known = out[fq], out[at[li]], out[at[li - 1]], new[li - 1]  # li - 1: predecessors
+    bias = np.zeros(len(fc), dtype=np.int16)  # saturated pixels step inward: eight pulls
+    bias[fc == 0], bias[fc == 255] = -16, 16  # and a swing never outweigh 16
+    after = np.where(known == _FREE, was + [[-1], [1]], known)  # fixed, or after -1 and +1
+    swing = pulls[cc - after + 256] - pulls[cc - was + 256]  # its pull after, less as it stood
+    ci = np.flatnonzero(linked[fi]) if len(li) else li  # the chained ones among the free
+    for a, b, fa, fb, ca, cb in zip(starts, starts[1:], fs, fs[1:], cs, cs[1:]):
+        q, c = fq[fa:fb], fc[fa:fb]
+        score = pulls.take(c + 256 - out.take(q + around[:, None])).sum(axis=0) + bias[fa:fb]
+        step, tie = -np.sign(score), score == 0
         g = q // block if len(jobs) > 1 else None  # each free change's job
-        if chain:
-            i = a + free[a:b].nonzero()[0]
-            chained = linked[i].nonzero()[0]
-            prev, cc = i[chained] - 1, c[chained]
-            was = out[at[prev]]
-            rest = score[chained] - _pull(cc - was, t)  # the predecessor as it stood
-            known = new[prev][:, None]  # its new value: fixed, or after a -1 and after a +1 step
-            after = np.where(known == _FREE, was[:, None] + [-1, 1], known)
-            down, up = -np.sign(rest[:, None] + _pull(cc[:, None] - after, t)).T
+        if ca < cb:
+            chained = ci[ca:cb] - fa
+            down, up = -np.sign(score[chained] + swing[:, ca:cb])
             step[chained], tie[chained] = down, (down == 0) & (up == 0)
             scan = (down != up).nonzero()[0]  # the predecessor's step decides
             if len(scan):  # a tie takes the coin after all its job's earlier ties in the pass
-                s, js, before, cuts = step.tolist(), chained[scan], np.cumsum(tie) - tie, [0, len(scan)]
+                js, before, cuts = chained[scan], np.cumsum(tie) - tie, [0, len(scan)]
                 if g is not None:  # count a job's ties from its first free change in the pass
                     before -= before[np.searchsorted(g, g)]
                     cuts[1:1] = (np.flatnonzero(np.diff(g[js])) + 1).tolist()
-                before, js = before.tolist(), js.tolist()  # before: the ties found above
+                s, before, js = step.tolist(), before.tolist(), js.tolist()  # before: ties above
                 ds, us = down[scan].tolist(), up[scan].tolist()
                 for x, y in zip(cuts, cuts[1:]):  # one job's scan; extra: ties found here
                     k = 0 if g is None else g[js[x]]
@@ -275,7 +282,7 @@ def _settle(stack: np.ndarray, jobs: Sequence[tuple], t: int) -> list[GrayImage]
                         if not s[j]:
                             s[j], tie[j] = flips[before[j] + extra], True
                             extra += 1
-                step = np.array(s)
+                step[js] = [s[j] for j in js]
         tie = tie.nonzero()[0]
         if g is None:  # the one job's next coins
             step[tie] = coins[nxt[0] : nxt[0] + len(tie)]
@@ -284,7 +291,8 @@ def _settle(stack: np.ndarray, jobs: Sequence[tuple], t: int) -> list[GrayImage]
             g, nxt = g[tie], np.array(nxt)
             step[tie] = coins[nxt[g] + np.arange(len(tie)) - np.searchsorted(g, g)]
             nxt = (nxt + np.bincount(g, minlength=len(jobs))).tolist()
-        out[at[a:b]] = new[a:b]  # the free ones are overwritten next
+        if fb - fa < b - a:  # the pass has fixed changes; its free ones are overwritten next
+            out[at[a:b]] = new[a:b]
         out[q] = c + step
     return [GrayImage(raster[1 : cover.height + 1, 1 : cover.width + 1].astype(np.uint8))
             for (cover, *_), raster in zip(jobs, out.reshape(stack.shape))]

@@ -15,6 +15,8 @@ from lsblab.embed import (
     _coins,
     _job,
     _plan,
+    _pull,
+    _pulls,
     _settle,
     _stack,
     embed,
@@ -354,8 +356,16 @@ def edge_covers(draw):
             h, w = w, h
     palette = draw(st.sampled_from([(0, 255), (0, 1, 254, 255), tuple(range(256)),
                                     tuple(range(100, 108))]), label="palette")
-    raster = draw(st.lists(st.sampled_from(palette), min_size=w * h, max_size=w * h), label="raster")
-    return GrayImage(np.array(raster, dtype=np.uint8).reshape(h, w))
+    # one byte per pixel, mapped into the palette; as intp, since a uint8 % 256 overflows
+    raster = draw(st.binary(min_size=w * h, max_size=w * h), label="raster")
+    picks = np.frombuffer(raster, dtype=np.uint8).astype(np.intp) % len(palette)
+    return GrayImage(np.array(palette, dtype=np.uint8)[picks].reshape(h, w))
+
+
+def draw_bits(data, n):
+    """n payload bits, drawn as whole bytes: far faster for hypothesis than n single bits."""
+    raw = data.draw(st.binary(min_size=math.ceil(n / 8), max_size=math.ceil(n / 8)), label="bits")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n].tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -374,7 +384,7 @@ def test_zero_threshold_improved_equals_baseline(data):
         capacity = cover.n_pixels if base == "lsbm" else 2 * (cover.n_pixels // 2)
         full = data.draw(st.booleans(), label="full")
         nbits = capacity - 32 if full else data.draw(st.integers(0, capacity - 32), label="nbits")
-        bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits), label="bits")
+        bits = draw_bits(data, nbits)
         plain_cfg = EmbedConfig(method=base, seed=seed, traversal=traversal)
         plain = embed(cover, bits, plain_cfg)
         guided = embed(cover, bits, EmbedConfig(method=base + "_improved", threshold=threshold,
@@ -419,8 +429,7 @@ def draw_case(data, methods=METHODS, traversals=("raster", "permuted"), threshol
     capacity = (2 * (cover.n_pixels // 2) if method.startswith("lsbmr") else cover.n_pixels) - 32
     nbits = capacity if data.draw(st.booleans(), label="full") else \
         data.draw(st.integers(0, capacity), label="nbits")
-    bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits), label="bits")
-    return cover, bits, cfg
+    return cover, draw_bits(data, nbits), cfg
 
 
 def reference_embed(cover, bits, cfg):
@@ -520,6 +529,29 @@ def test_chained_change_after_a_saturated_free_predecessor(threshold, seed):
     assert settle(cover, bits, cfg) == reference_embed(cover, bits, cfg)
 
 
+@pytest.mark.parametrize("t", [2, 3, 4, 255, 256])
+def test_pull_table_covers_every_difference(t):
+    # _settle looks the pull of d = c - n up at index d + 256: c is 0..255 and
+    # n is _BORDER, a pixel, or a free predecessor's -1 or 256 after its step
+    d = np.arange(-256, 1280)
+    assert len(_pulls(t)) == len(d)
+    assert _pulls(t)[d + 256].tolist() == _pull(d, t).tolist()
+
+
+@pytest.mark.parametrize("threshold", [2, 4, 256])
+def test_saturated_change_chained_after_the_opposite_saturated_value(threshold):
+    # every LSB of the strip is wrong: the frame's pixels are 255 for a 0 bit and
+    # 0 for a 1 bit, then the payload alternates 255 and 0. Every change is free
+    # and chained, so a 0 reads its predecessor 255 after a +1 step as 256
+    # (d = -256, the table's first entry) and a 255 reads a 0 after -1 (d = 256)
+    bits = [0, 1] * 40
+    cover = GrayImage(np.array([[255 - 255 * bit for bit in frame_bits(bits).tolist()]],
+                               dtype=np.uint8))
+    cfg = EmbedConfig(method="lsbm_improved", threshold=threshold, seed=7)
+    assert settle(cover, bits, cfg) == reference_embed(cover, bits, cfg)
+    assert embed(cover, bits, cfg).pixels.tolist() == reference_embed(cover, bits, cfg)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_batch_settles_each_job_as_alone(data):
@@ -559,7 +591,7 @@ def test_wire_contract_in_stdlib_terms(data):
     seed = data.draw(st.integers(0, 2**70), label="seed")
     traversal = data.draw(st.sampled_from(["raster", "permuted"]), label="traversal")
     nbits = data.draw(st.integers(0, 2 * (cover.n_pixels // 2) - 32), label="nbits")
-    bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits), label="bits")
+    bits = draw_bits(data, nbits)
     order = reference.visiting_order(cover.n_pixels, seed, traversal)
     for family in ("lsbm", "lsbmr"):
         stego = embed(cover, bits, EmbedConfig(method=family, seed=seed, traversal=traversal))
@@ -647,7 +679,7 @@ def test_roundtrip_and_distortion(method, data):
     cover = GrayImage(np.frombuffer(raster, dtype=np.uint8).reshape(h, w))
     cap = 2 * (w * h // 2) - 32
     nbits = data.draw(st.integers(0, cap), label="nbits")
-    bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits), label="bits")
+    bits = draw_bits(data, nbits)
     seed = data.draw(st.integers(0, 2**32), label="seed")
     traversal = data.draw(st.sampled_from(["raster", "permuted"]), label="traversal")
     cfg = EmbedConfig(method=method, seed=seed, traversal=traversal)
