@@ -144,7 +144,7 @@ def embed(cover: GrayImage, message: Sequence[int], config: EmbedConfig) -> Gray
     """
     job = _job(cover, frame_bits(message), config,
                traversal_order(cover, config.traversal, config.seed))
-    return _settle(_stack([cover]), [job], _threshold(config))[0]
+    return _settle([job], _threshold(config))[0]
 
 
 def _capacity(cover: GrayImage, n_framed: int, pairwise: bool) -> None:
@@ -169,19 +169,19 @@ def _threshold(config: EmbedConfig) -> int:
     return min(config.threshold, 256) if config.method.endswith("_improved") else 0
 
 
-def _runs(at: np.ndarray, free: np.ndarray, around: np.ndarray, size: int, ends: list) -> list[int]:
+def _runs(at: np.ndarray, fi: np.ndarray, around: np.ndarray, size: int, ends: list) -> list[int]:
     """Where each run of the changes at `at` starts, then len(at); job g's changes end at ends[g].
 
-    A job's first change starts a run, and so does a free change that
-    neighbors a change of the current run other than the one planned just
-    before it. around are the offsets a vote reads in a raster of `size` pixels.
+    fi are the free changes' indices into at. A job's first change starts a
+    run, and so does a free change that neighbors a change of the current run
+    other than the one planned just before it. around are the offsets a vote
+    reads in a raster of `size` pixels.
     """
-    n, fi = len(at), np.flatnonzero(free).astype(np.int32)
     dep = np.full(len(fi), -1, dtype=np.int32)  # latest earlier neighboring change but i - 1
     if len(around):
         visit = np.full(size, -1, dtype=np.int32)
-        visit[at] = np.arange(n, dtype=np.int32)
-        q, last = at[free], fi - 1
+        visit[at] = np.arange(len(at), dtype=np.int32)
+        q, last = at[fi], fi - 1
         for offset in around.tolist():
             seen = visit.take(q + offset)
             np.maximum(dep, seen, out=dep, where=seen < last)
@@ -208,18 +208,20 @@ def _pulls(t: int) -> np.ndarray:
     return _pull(np.arange(-256, 1280, dtype=np.int16), t)
 
 
-def _settle(stack: np.ndarray, jobs: Sequence[tuple], t: int) -> list[GrayImage]:
+def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
     """Each job's cover with its planned changes made; t (at most 256) is the vote threshold.
 
-    stack is _stack of the jobs' covers, settled in place. Each free step
-    follows the README rule: a saturated pixel steps inward, the vote (its
-    neighbors' summed _pull) takes the step with the smaller sum, and a tie
-    or an empty mask takes its job's next coin. Pass r settles run r (see
-    _runs) of every job: one gather reads what earlier passes wrote, chained
-    changes add the swing of their predecessor's step, and one scan per job
-    settles those whose predecessor's step decides. Cover values, swings and
-    pass bounds are fixed for the call (see the module docstring): read once.
+    A job is _job's (cover, pixels, new, coin seed). The covers are settled
+    together on their _stack. Each free step follows the README rule: a
+    saturated pixel steps inward, the vote (its neighbors' summed _pull) takes
+    the step with the smaller sum, and a tie or an empty mask takes its job's
+    next coin. Pass r settles run r (see _runs) of every job: one gather reads
+    what earlier passes wrote, chained changes add the swing of their
+    predecessor's step, and one scan per job settles those whose predecessor's
+    step decides. Cover values, free changes, swings and pass bounds are fixed
+    for the call (see the module docstring): found once.
     """
+    stack = _stack([cover for cover, *_ in jobs])
     stride, block = stack.shape[2], stack[0].size  # job g's block starts at g * block
     out, ends = stack.ravel(), np.cumsum([len(p) for _, p, _, _ in jobs]).tolist()
     # pixel y * w + x of job g sits at g * block + (y + 1) * stride + x + 1
@@ -227,16 +229,16 @@ def _settle(stack: np.ndarray, jobs: Sequence[tuple], t: int) -> list[GrayImage]
                          for g, (cover, p, _, _) in enumerate(jobs)], dtype=np.int32)
     new = np.concatenate([n for _, _, n, _ in jobs])
     free = new == _FREE
-    counts = [int(np.count_nonzero(free[lo:end])) for lo, end in zip([0] + ends, ends)]
-    coins = np.concatenate([_coins(seed, n) for (*_, seed), n in zip(jobs, counts)])
-    nxt = np.cumsum([0] + counts[:-1]).tolist()  # each job's next coin in the joined stream
+    fi = np.flatnonzero(free).astype(np.int32)
+    nxt = np.searchsorted(fi, [0] + ends).tolist()  # each job's next coin, then the coin count
+    coins = np.concatenate([_coins(seed, b - a) for (*_, seed), a, b in zip(jobs, nxt, nxt[1:])])
     around = np.array([-stride - 1, -stride, -stride + 1, -1, 1, stride - 1, stride, stride + 1]
                       if t > 1 else [], dtype=np.int32)  # at T <= 1 every vote ties
     linked = np.zeros(len(at), dtype=bool)  # a free change next to the change before it
     if t > 1:  # neighbors sit 1, stride - 1, stride or stride + 1 apart
         gap = np.abs(np.diff(at))
         linked[1:] = free[1:] & ((gap == 1) | (np.abs(gap - stride) <= 1))
-    starts = _runs(at, free, around, len(out), ends)
+    starts = _runs(at, fi, around, len(out), ends)
     # each run votes on the raster as it stood before the run, then writes. A
     # chained change neighbors the change planned just before it, in its run:
     # its vote takes that change's new value, or both candidates if it is free
@@ -245,17 +247,20 @@ def _settle(stack: np.ndarray, jobs: Sequence[tuple], t: int) -> list[GrayImage]
         run = np.repeat(np.arange(len(starts) - 1, dtype=np.int32), np.diff(starts))
         run -= np.repeat(np.searchsorted(starts, [0] + ends[:-1]), np.diff([0] + ends))
         order = np.argsort(run, kind="stable")
-        at, new, free, linked = at[order], new[order], free[order], linked[order]
+        at, new, linked = at[order], new[order], linked[order]
+        fi = np.flatnonzero(new == _FREE).astype(np.int32)
         starts = [0] + np.cumsum(np.bincount(run)).tolist()  # where each pass starts
     # pass r's free changes are fi[fs[r]:fs[r + 1]], its chained ones li[cs[r]:cs[r + 1]]
-    fi, li, pulls = np.flatnonzero(free), np.flatnonzero(linked), _pulls(t)
+    li, pulls = np.flatnonzero(linked).astype(np.int32), _pulls(t)
     fq, fs, cs = at[fi], np.searchsorted(fi, starts).tolist(), np.searchsorted(li, starts).tolist()
     fc, cc, was, known = out[fq], out[at[li]], out[at[li - 1]], new[li - 1]  # li - 1: predecessors
     bias = np.zeros(len(fc), dtype=np.int16)  # saturated pixels step inward: eight pulls
     bias[fc == 0], bias[fc == 255] = -16, 16  # and a swing never outweigh 16
-    after = np.where(known == _FREE, was + [[-1], [1]], known)  # fixed, or after -1 and +1
+    steps = np.array([[-1], [1]], dtype=np.int16)  # a free predecessor's two steps
+    after = np.where(known == _FREE, was + steps, known)  # fixed, or after -1 and +1
     swing = pulls[cc - after + 256] - pulls[cc - was + 256]  # its pull after, less as it stood
-    ci = np.flatnonzero(linked[fi]) if len(li) else li  # the chained ones among the free
+    # the chained ones among the free; intp, as numpy casts an int32 index at each use
+    ci = np.flatnonzero(linked[fi]) if len(li) else li
     for a, b, fa, fb, ca, cb in zip(starts, starts[1:], fs, fs[1:], cs, cs[1:]):
         q, c = fq[fa:fb], fc[fa:fb]
         score = pulls.take(c + 256 - out.take(q + around[:, None])).sum(axis=0) + bias[fa:fb]
@@ -290,12 +295,12 @@ def _settle(stack: np.ndarray, jobs: Sequence[tuple], t: int) -> list[GrayImage]
         else:  # the n-th tie of a job in this pass takes its n-th next coin
             g, nxt = g[tie], np.array(nxt)
             step[tie] = coins[nxt[g] + np.arange(len(tie)) - np.searchsorted(g, g)]
-            nxt = (nxt + np.bincount(g, minlength=len(jobs))).tolist()
+            nxt = (nxt + np.bincount(g, minlength=len(nxt))).tolist()
         if fb - fa < b - a:  # the pass has fixed changes; its free ones are overwritten next
             out[at[a:b]] = new[a:b]
         out[q] = c + step
     return [GrayImage(raster[1 : cover.height + 1, 1 : cover.width + 1].astype(np.uint8))
-            for (cover, *_), raster in zip(jobs, out.reshape(stack.shape))]
+            for (cover, *_), raster in zip(jobs, stack)]
 
 
 def extract(stego: GrayImage, config: EmbedConfig) -> np.ndarray:

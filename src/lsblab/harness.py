@@ -3,8 +3,8 @@
 The detector is a two-class Fisher linear discriminant over the band-energy
 features, trained on a seeded train/test split of cover/stego pairs. A
 detection rate of 50% on held-out data means the features carry no usable
-signal. Passing method=None runs the cover-vs-cover null experiment
-(identical images labeled both classes).
+signal. A method of None makes a benchmark cell the cover-vs-cover null
+experiment (identical images labeled both classes).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bits import CapacityError, FRAME_BITS, frame_bits
-from .embed import DEFAULT_THRESHOLD, EmbedConfig, _capacity, _job, _settle, _stack, _threshold, embed
+from .embed import DEFAULT_THRESHOLD, EmbedConfig, _capacity, _job, _settle, _threshold, embed
 from .glcm import N_BANDS, band_features
 from .image import GrayImage, traversal_order
 from .rng import Rng, derive_seed
@@ -79,11 +79,6 @@ def accuracy(model: FisherDiscriminant, x: np.ndarray, y: np.ndarray) -> float:
 # experiments
 
 
-def rate_capacity(rate: float, n_pixels: int) -> int:
-    """Bit budget at a payload rate; floor(rate * n) with float-noise guard."""
-    return math.floor(rate * n_pixels + 1e-9)
-
-
 def _check_rate(rate: float) -> None:
     if not rate <= 1.0:  # also nan; a rate <= 0 (even -inf) fails _message_bits' frame check
         raise ValueError(f"rate must be in (0, 1], got {rate}")
@@ -91,7 +86,7 @@ def _check_rate(rate: float) -> None:
 
 def _budget(rate: float, n_pixels: int) -> int:  # a message's framed bits at this rate
     _check_rate(rate)
-    budget = rate_capacity(max(rate, 0.0), n_pixels)
+    budget = math.floor(max(rate, 0.0) * n_pixels + 1e-9)  # floor(rate * n) despite float noise
     if budget <= FRAME_BITS:
         raise CapacityError(
             f"rate {rate:g} on {n_pixels} pixels leaves no room for the 32-bit frame"
@@ -101,14 +96,6 @@ def _budget(rate: float, n_pixels: int) -> int:  # a message's framed bits at th
 
 def _message_bits(rate: float, n_pixels: int, seed: int) -> np.ndarray:
     return Rng(seed).bits(_budget(rate, n_pixels) - FRAME_BITS)
-
-
-def _embed_for_experiment(image: GrayImage, method: str | None, rate: float,
-                          threshold: int, image_index: int, seed: int) -> GrayImage:
-    if method is None:  # null experiment: the "stego" image is the cover itself
-        return image
-    bits = _message_bits(rate, image.n_pixels, derive_seed(seed, image_index, _TAG_MESSAGE))
-    return embed(image, bits, _experiment_config(method, threshold, image_index, seed))
 
 
 def _experiment_config(method: str, threshold: int, image_index: int, seed: int) -> EmbedConfig:
@@ -128,7 +115,7 @@ def _mean_energies(x: np.ndarray) -> np.ndarray:
     return x.reshape(len(x), -1, N_BANDS).mean(axis=1)
 
 
-def energy_experiment(corpus: Sequence[GrayImage], method: str | None, rate: float,
+def energy_experiment(corpus: Sequence[GrayImage], method: str, rate: float,
                       threshold: int = DEFAULT_THRESHOLD,
                       seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-image (cover, stego) band energies averaged over DEFAULT_OFFSETS.
@@ -138,10 +125,10 @@ def energy_experiment(corpus: Sequence[GrayImage], method: str | None, rate: flo
     methods at one rate see the same messages. Payloads are scattered with
     a per-image keyed permutation, the usual operating posture.
     """
-    cover_x = _features(corpus)
-    stego_x = _features([_embed_for_experiment(image, method, rate, threshold, i, seed)
-                         for i, image in enumerate(corpus)])
-    return list(zip(_mean_energies(cover_x), _mean_energies(stego_x)))
+    stegos = [embed(image, _message_bits(rate, image.n_pixels, derive_seed(seed, i, _TAG_MESSAGE)),
+                    _experiment_config(method, threshold, i, seed))
+              for i, image in enumerate(corpus)]
+    return list(zip(_mean_energies(_features(corpus)), _mean_energies(_features(stegos))))
 
 
 def _split_accuracy(cover_x: np.ndarray, stego_x: np.ndarray, indices: np.ndarray) -> float:
@@ -220,14 +207,13 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
             if orders is None:
                 orders = [traversal_order(corpus[i], config.traversal, config.seed)
                           for i, config in zip(chunk, configs)]
-                stack = _stack([corpus[i] for i in chunk])
             if rate not in framed:
                 framed[rate] = [frame_bits(_message_bits(rate, corpus[i].n_pixels,
                                                          derive_seed(seed, i, _TAG_MESSAGE)))
                                 for i in chunk]
             jobs = [_job(corpus[i], bits, config, order)
                     for i, bits, config, order in zip(chunk, framed[rate], configs, orders)]
-            for i, stego in zip(chunk, _settle(stack.copy(), jobs, _threshold(configs[0]))):
+            for i, stego in zip(chunk, _settle(jobs, _threshold(configs[0]))):
                 stego_x[c, i] = band_features(stego)
     cover_e = _mean_energies(cover_x).mean(axis=0)
     split = Rng(derive_seed(seed, _TAG_SPLIT)).shuffle(len(corpus))

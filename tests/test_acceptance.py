@@ -16,15 +16,14 @@ from lsblab.embed import (
     EmbedConfig,
     _pull,
     _settle,
-    _stack,
     embed,
     extract,
 )
 from lsblab.glcm import cooccurrence
 from lsblab.harness import (
+    _budget,
     benchmark,
     energy_experiment,
-    rate_capacity,
     synthetic_corpus,
 )
 from lsblab.image import GrayImage
@@ -69,7 +68,7 @@ def roundtrip_trials():
         cover = GrayImage(cover_pixels)
         for mi, method in enumerate(METHODS):
             for ri, rate in enumerate(ROUNDTRIP_RATES):
-                budget = rate_capacity(rate, cover.n_pixels)
+                budget = _budget(rate, cover.n_pixels)
                 bits = Rng(derive_seed(MASTER_SEED, i, mi, ri)).bits(budget - FRAME_BITS).tolist()
                 cfg = EmbedConfig(method=method, seed=derive_seed(MASTER_SEED, i, mi, ri, 1))
                 stego = embed(cover, bits, cfg)
@@ -164,8 +163,8 @@ def test_direction_choice_worked_example():
         # the center as a plan's one free change steps up, whatever the coin
         for seed in range(10):
             cover = GrayImage(block.astype(np.uint8))
-            (stego,) = _settle(_stack([cover]), [(cover, np.array([4]),
-                                                  np.array([_FREE], dtype=np.int16), seed)], 4)
+            job = (cover, np.array([4]), np.array([_FREE], dtype=np.int16), seed)
+            (stego,) = _settle([job], 4)
             assert stego.pixels[1, 1] == 101
 
 

@@ -14,11 +14,9 @@ from lsblab.embed import (
     EmbedConfig,
     _coins,
     _job,
-    _plan,
     _pull,
     _pulls,
     _settle,
-    _stack,
     embed,
     extract,
     f_pair,
@@ -83,7 +81,7 @@ def one_step(rows, idx, seed=0, threshold=4):
     """The step _settle gives flat pixel idx of a block when it is the plan's one free change."""
     cover = GrayImage(np.array(rows, dtype=np.uint8))
     job = (cover, np.array([idx]), np.array([_FREE], dtype=np.int16), seed)
-    (stego,) = _settle(_stack([cover]), [job], threshold)
+    (stego,) = _settle([job], threshold)
     return int(stego.pixels.ravel()[idx]) - int(cover.pixels.ravel()[idx])
 
 
@@ -437,35 +435,20 @@ def reference_embed(cover, bits, cfg):
                            cfg.threshold)
 
 
-def settle(cover, bits, cfg):
-    """_settle on embed's plan."""
-    framed = frame_bits(bits)
-    pairwise = cfg.method.startswith("lsbmr")
-    if pairwise and len(framed) & 1:
-        framed = np.append(framed, np.uint8(0))
-    order = traversal_order(cover, cfg.traversal, cfg.seed)[: len(framed)]
-    pixels, new = _plan(order, cover.pixels.ravel()[order], framed, pairwise)
-    t = min(cfg.threshold, 256) if cfg.method.endswith("_improved") else 0
-    (stego,) = _settle(_stack([cover]), [(cover, pixels, new, cfg.seed)], t)
-    return stego.pixels.tolist()
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_settle_paths_match_reference(data):
-    # the run-parallel array vote, alone and behind public embed, against the stdlib oracle
+    # the run-parallel array vote, behind public embed, against the stdlib oracle
     cover, bits, cfg = draw_case(data)
-    expected = reference_embed(cover, bits, cfg)
-    assert settle(cover, bits, cfg) == expected
-    assert embed(cover, bits, cfg).pixels.tolist() == expected
+    assert embed(cover, bits, cfg).pixels.tolist() == reference_embed(cover, bits, cfg)
 
 
-def greedy_runs(at, free, around):
-    """Run starts by definition: a free change starts one when it neighbors a change of the
-    current run other than the one planned just before it."""
-    starts, current, last = [0], set(), None
-    for i, (p, is_free) in enumerate(zip(at.tolist(), free.tolist())):
-        if is_free and any(p + offset in current and p + offset != last
+def greedy_runs(at, fi, around):
+    """Run starts by definition: a free change (one of fi) starts one when it neighbors a
+    change of the current run other than the one planned just before it."""
+    starts, current, last, free = [0], set(), None, set(fi.tolist())
+    for i, p in enumerate(at.tolist()):
+        if i in free and any(p + offset in current and p + offset != last
                            for offset in around.tolist()):
             starts.append(i)
             current = set()
@@ -483,7 +466,7 @@ def test_chained_runs_match_reference_in_raster_order(data):
                                  traversals=["raster"],
                                  thresholds=st.one_of(st.integers(2, 8),
                                                       st.sampled_from([256, 10**9])))
-    assert settle(cover, bits, cfg) == reference_embed(cover, bits, cfg)
+    assert embed(cover, bits, cfg).pixels.tolist() == reference_embed(cover, bits, cfg)
 
 
 @pytest.mark.parametrize("method, traversal", [
@@ -526,7 +509,7 @@ def test_chained_change_after_a_saturated_free_predecessor(threshold, seed):
             for e, bit in zip(edge, framed[1::2])]
     cover = GrayImage(np.array([[v for pair in zip(edge, near) for v in pair]], dtype=np.uint8))
     cfg = EmbedConfig(method="lsbm_improved", threshold=threshold, seed=seed)
-    assert settle(cover, bits, cfg) == reference_embed(cover, bits, cfg)
+    assert embed(cover, bits, cfg).pixels.tolist() == reference_embed(cover, bits, cfg)
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 255, 256])
@@ -548,7 +531,6 @@ def test_saturated_change_chained_after_the_opposite_saturated_value(threshold):
     cover = GrayImage(np.array([[255 - 255 * bit for bit in frame_bits(bits).tolist()]],
                                dtype=np.uint8))
     cfg = EmbedConfig(method="lsbm_improved", threshold=threshold, seed=7)
-    assert settle(cover, bits, cfg) == reference_embed(cover, bits, cfg)
     assert embed(cover, bits, cfg).pixels.tolist() == reference_embed(cover, bits, cfg)
 
 
@@ -563,8 +545,8 @@ def test_batch_settles_each_job_as_alone(data):
         cover, bits, cfg = draw_case(data)
         order = traversal_order(cover, cfg.traversal, cfg.seed)
         jobs.append(_job(cover, frame_bits(bits), cfg, order))
-    alone = [_settle(_stack([job[0]]), [job], t)[0] for job in jobs]
-    assert _settle(_stack([job[0] for job in jobs]), jobs, t) == alone
+    alone = [_settle([job], t)[0] for job in jobs]
+    assert _settle(jobs, t) == alone
 
 
 @pytest.mark.parametrize("method", ["lsbm_improved", "lsbmr_improved"])
@@ -577,8 +559,33 @@ def test_batch_of_chained_raster_plans_settles_each_as_alone(method):
         cfg = EmbedConfig(method=method, threshold=4, seed=35 + i)
         framed = frame_bits(Rng(36 + i).bits(int(0.8 * cover.n_pixels) - 32))
         jobs.append(_job(cover, framed, cfg, traversal_order(cover, "raster", cfg.seed)))
-    alone = [_settle(_stack([job[0]]), [job], 4)[0] for job in jobs]
-    assert _settle(_stack(covers), jobs, 4) == alone
+    alone = [_settle([job], 4)[0] for job in jobs]
+    assert _settle(jobs, 4) == alone
+
+
+def test_batch_jobs_without_free_changes_settle_as_alone():
+    # a cover that already carries its frame plans no change, and an lsbmr-imp
+    # cover whose every wrong pair needs a y1 step plans only fixed ones: both
+    # draw no coin, so in either order the chained raster job's coins must not move
+    framed = frame_bits(Rng(37).bits(48))  # 80 bits: 40 pairs
+    carrier = GrayImage((100 + framed).astype(np.uint8).reshape(8, 10))
+    s1, s2 = framed[0::2].astype(np.int16), framed[1::2].astype(np.int16)
+    y1 = 100 + (s1 ^ (np.arange(40) < 20))  # the first 20 pairs carry the wrong s1
+    y2 = 100 + ((s2 - (y1 >> 1)) & 1)  # f_pair(y1, y2) == s2
+    fixed = GrayImage(np.stack([y1, y2], axis=1).astype(np.uint8).reshape(8, 10))
+    chained = synthetic_image(24, 10, seed=38)
+    jobs = []
+    for cover, method, bits in ((carrier, "lsbm", framed), (fixed, "lsbmr_improved", framed),
+                                (chained, "lsbm_improved", frame_bits(Rng(39).bits(160)))):
+        cfg = EmbedConfig(method=method, threshold=4, seed=40)
+        jobs.append(_job(cover, bits, cfg, traversal_order(cover, "raster", cfg.seed)))
+    assert [len(job[1]) for job in jobs[:2]] == [0, 20] and _FREE not in jobs[1][2]
+    alone = [_settle([job], 4)[0] for job in jobs]
+    assert alone[0] == carrier
+    assert alone[1].pixels.ravel()[jobs[1][1]].tolist() == jobs[1][2].tolist()
+    assert alone[2] == embed(chained, Rng(39).bits(160), EmbedConfig("lsbm_improved", 4, 40))
+    assert _settle(jobs, 4) == alone
+    assert _settle(jobs[::-1], 4) == alone[::-1]
 
 
 @settings(max_examples=40, deadline=None)
