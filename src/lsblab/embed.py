@@ -169,21 +169,22 @@ def _threshold(config: EmbedConfig) -> int:
     return min(config.threshold, 256) if config.method.endswith("_improved") else 0
 
 
-def _runs(at: np.ndarray, fi: np.ndarray, around: np.ndarray, size: int, ends: list) -> list[int]:
+def _runs(at: np.ndarray, fi: np.ndarray, around: np.ndarray, size: int, ends: list,
+          fq: np.ndarray) -> list[int]:
     """Where each run of the changes at `at` starts, then len(at); job g's changes end at ends[g].
 
-    fi are the free changes' indices into at. A job's first change starts a
-    run, and so does a free change that neighbors a change of the current run
-    other than the one planned just before it. around are the offsets a vote
-    reads in a raster of `size` pixels.
+    fi are the free changes' indices into at, and fq = at[fi] their positions.
+    A job's first change starts a run, and so does a free change that
+    neighbors a change of the current run other than the one planned just
+    before it. around are the offsets a vote reads in a raster of `size` pixels.
     """
     dep = np.full(len(fi), -1, dtype=np.int32)  # latest earlier neighboring change but i - 1
     if len(around):
         visit = np.full(size, -1, dtype=np.int32)
         visit[at] = np.arange(len(at), dtype=np.int32)
-        q, last = at[fi], fi - 1
+        last = fi - 1
         for offset in around.tolist():
-            seen = visit.take(q + offset)
+            seen = visit.take(fq + offset)
             np.maximum(dep, seen, out=dep, where=seen < last)
     reach = np.maximum.accumulate(dep)  # sorted: the first dep >= s reads the run at s
     starts = [0]
@@ -230,7 +231,9 @@ def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
     new = np.concatenate([n for _, _, n, _ in jobs])
     free = new == _FREE
     fi = np.flatnonzero(free).astype(np.int32)
-    nxt = np.searchsorted(fi, [0] + ends).tolist()  # each job's next coin, then the coin count
+    fq = at[fi]
+    # each job's next coin, then the coin count (int32 keys: wider ones copy fi to int64)
+    nxt = np.searchsorted(fi, np.array([0] + ends, dtype=np.int32)).tolist()
     coins = np.concatenate([_coins(seed, b - a) for (*_, seed), a, b in zip(jobs, nxt, nxt[1:])])
     around = np.array([-stride - 1, -stride, -stride + 1, -1, 1, stride - 1, stride, stride + 1]
                       if t > 1 else [], dtype=np.int32)  # at T <= 1 every vote ties
@@ -238,7 +241,7 @@ def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
     if t > 1:  # neighbors sit 1, stride - 1, stride or stride + 1 apart
         gap = np.abs(np.diff(at))
         linked[1:] = free[1:] & ((gap == 1) | (np.abs(gap - stride) <= 1))
-    starts = _runs(at, fi, around, len(out), ends)
+    starts = _runs(at, fi, around, len(out), ends, fq)
     # each run votes on the raster as it stood before the run, then writes. A
     # chained change neighbors the change planned just before it, in its run:
     # its vote takes that change's new value, or both candidates if it is free
@@ -249,10 +252,12 @@ def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
         order = np.argsort(run, kind="stable")
         at, new, linked = at[order], new[order], linked[order]
         fi = np.flatnonzero(new == _FREE).astype(np.int32)
+        fq = at[fi]
         starts = [0] + np.cumsum(np.bincount(run)).tolist()  # where each pass starts
     # pass r's free changes are fi[fs[r]:fs[r + 1]], its chained ones li[cs[r]:cs[r + 1]]
     li, pulls = np.flatnonzero(linked).astype(np.int32), _pulls(t)
-    fq, fs, cs = at[fi], np.searchsorted(fi, starts).tolist(), np.searchsorted(li, starts).tolist()
+    bounds = np.array(starts, dtype=np.int32)  # int32 keys, as for nxt
+    fs, cs = np.searchsorted(fi, bounds).tolist(), np.searchsorted(li, bounds).tolist()
     fc, cc, was, known = out[fq], out[at[li]], out[at[li - 1]], new[li - 1]  # li - 1: predecessors
     bias = np.zeros(len(fc), dtype=np.int16)  # saturated pixels step inward: eight pulls
     bias[fc == 0], bias[fc == 255] = -16, 16  # and a swing never outweigh 16

@@ -102,32 +102,46 @@ def _apply_swaps(partner: np.ndarray) -> np.ndarray:
     moved in what slot i' held just before step i'. Following those links
     from slot to slot ends at a slot no step wrote in time, which still
     holds its own index.
+
+    One in-place sort of the packed keys partner << 32 | step groups the steps
+    by partner slot, each group in ascending step order; the packing is exact
+    because every step and partner is below n < 2**31. The result is then read
+    off in that group order: a step's link is the next step of its group.
     """
     n = len(partner)
-    # steps grouped by partner slot, each group in ascending step order
-    steps = np.argsort(partner.astype(np.int64) * n + np.arange(n)).astype(np.int32)
-    grouped = partner[steps]
+    key = partner.astype(np.int64)
+    key <<= 32
+    key |= np.arange(n, dtype=np.int32)
+    key.sort()
+    steps, grouped = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+    np.bitwise_and(key, 0xFFFFFFFF, out=steps, casting="unsafe")
+    np.right_shift(key, 32, out=grouped, casting="unsafe")
+    del key  # it, and first below, would otherwise outlive the jumping rounds' copies
     head = np.ones(n, dtype=bool)
     np.not_equal(grouped[1:], grouped[:-1], out=head[1:])
-    # later[i]: the next larger step with i's partner, i.e. the previous write to that slot
-    following = np.empty(n, dtype=np.int32)
-    following[:-1] = steps[1:]
-    following[-1] = -1
-    np.putmask(following[:-1], head[1:], -1)
-    later = np.empty(n, dtype=np.int32)
-    later[steps] = following
     # writer[p]: the last step before step p that wrote slot p (the head of p's group),
     # or p itself if none did. A step i' writing slot p has i' > p, unless p swaps with
     # itself; such a p is never looked up, since the lookups below follow writes.
     writer = np.arange(n, dtype=np.int32)
-    writer[grouped[head]] = steps[head]
-    # pointer jumping: writer[p] becomes the slot whose own index slot p holds before step p
+    first = np.flatnonzero(head)
+    writer[grouped.take(first)] = steps.take(first)
+    del first
+    # pointer jumping: writer[p] becomes the slot whose own index slot p holds before step p.
+    # Every index is in range, so "clip" changes none; it skips take's bounds check
     while True:
-        jumped = writer[writer]
+        jumped = writer.take(writer, mode="clip")
         if np.array_equal(jumped, writer):
             break
         writer = jumped
-    return np.where(later >= 0, writer[later], partner).astype(np.int32)
+    # sorted place k reads the write of the next step in its group, if any; else its
+    # slot was not written before its step and still holds its own index
+    vals = np.empty(n, dtype=np.int32)
+    vals[:-1] = writer[steps[1:]]  # take(out=) would buffer it and copy steps to intp
+    np.copyto(vals[:-1], grouped[:-1], where=head[1:])
+    vals[-1] = grouped[-1]
+    out = np.empty(n, dtype=np.int32)
+    out[steps] = vals
+    return out
 
 
 def derive_seed(seed: int, *indices: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsblab.embed import _coins
-from lsblab.rng import Rng, derive_seed
+from lsblab.rng import Rng, _apply_swaps, derive_seed
 
 
 def test_equal_seeds_equal_streams():
@@ -128,3 +128,49 @@ def test_stream_continues_where_the_stdlib_would(calls, seed):
             reference.shuffle(order)
             assert rng.shuffle(n).tolist() == order
     assert rng._random.getstate() == reference.getstate()
+
+
+# ---------------------------------------------------------------------------
+# differential: the swap applier against a plain swap loop, on any valid partners.
+# Stdlib draws never build deep writer chains; these partners do.
+
+
+def swapped(partner):
+    x = list(range(len(partner)))
+    for i in reversed(range(len(partner))):
+        p = partner[i]
+        x[i], x[p] = x[p], x[i]
+    return x
+
+
+def check_swaps(partner):
+    out = _apply_swaps(np.array(partner, dtype=np.int32))
+    assert out.dtype == np.int32
+    assert out.tolist() == swapped(partner)
+
+
+# a partner list is built from runs of one kind each: every step from some i on swaps
+# with slot 0, with itself, with slot i - 1, or with a uniform slot of 0..i
+RUNS = st.lists(st.tuples(st.sampled_from(["zero", "self", "chain", "uniform"]),
+                          st.integers(1, 600), st.integers(0, 2**32)), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=RUNS)
+def test_apply_swaps_matches_swap_loop(runs):
+    partner = []
+    for kind, length, seed in runs:
+        draw = random.Random(seed).randint
+        for i in range(len(partner), min(len(partner) + length, 3000)):
+            partner.append(draw(0, i) if kind == "uniform" else
+                           {"zero": 0, "self": i, "chain": max(i - 1, 0)}[kind])
+    check_swaps(partner)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 3000])
+@pytest.mark.parametrize("kind", ["zero", "self", "chain"])
+def test_apply_swaps_fixed_partners(kind, n):
+    # chain: partner[i] = i - 1, whose pointer jumping takes about log2 n rounds
+    partner = {"zero": [0] * n, "self": list(range(n)),
+               "chain": [max(i - 1, 0) for i in range(n)]}[kind]
+    check_swaps(partner)
