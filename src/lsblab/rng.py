@@ -8,7 +8,9 @@ whole arrays of words at once:
   of each word;
 - shuffle(n) gives the order random.Random(seed).shuffle leaves
   list(range(n)) in. Its randrange(m) draws take the top m.bit_length()
-  bits of a word and draw again while those are >= m.
+  bits of a word and draw again while those are >= m. Most words of a window
+  accept or reject whichever draw they serve; only the few unsure ones are
+  settled one by one.
 
 The generator alone holds the stream's position, and after every call it sits
 where the stdlib's would, so a receiver with only the stdlib rebuilds each stream.
@@ -22,8 +24,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-_WINDOW = 4096  # words per fixed-point window of the vectorised draws
-_TAIL = 256  # the last, smallest draws of a shuffle are taken one by one
+_WINDOW = 4096  # the most words the draws read at once
+_TAIL = 1024  # the last, smallest draws of a shuffle are taken one by one
 
 
 class Rng:
@@ -60,28 +62,45 @@ class Rng:
         return _apply_swaps(partner)
 
     def _draws(self, n: int) -> np.ndarray:
-        """randrange(m) for m = n, n-1, ..., 2, drawn from the stream in that order."""
+        """randrange(m) for m = n, n-1, ..., 2, drawn from the stream in that order.
+
+        Bound m of bit length k takes r = word >> (32 - k). Word q of the words at hand
+        serves bound m - a, a <= q being the words accepted before it, so r >= m rejects
+        and r < m - q accepts, whatever a is. The few unsure words in between are settled
+        in order. These r hold while the bound keeps k bits; the words after that span's
+        last draw are carried to the next bound, and a window is read only when none is
+        left. A window has no more words than draws left and each draw spends at least
+        one, so no word is read past the last draw: the generator ends where the stdlib's
+        does.
+        """
         draws = np.empty(max(n - 1, 0), dtype=np.int32)
         t = 0
-        while n - 1 - t > _TAIL:
-            # A window has no more words than draws left and every draw spends at least
-            # one word, so no window reads past the last draw: the generator ends where
-            # the stdlib's does. Word q serves draw t + (words accepted before q); iterate
-            # that count to a fixed point: if two rounds first disagree at word d, the
-            # newer one is exact through d, so each round extends the exact prefix.
-            words = self._words(min(_WINDOW, n - 1 - t))
-            bound = (n - t - np.arange(len(words))).astype(np.uint32)
-            shift = (32 - np.frexp(bound)[1]).astype(np.uint32)  # frexp exponent = bit_length
-            limit = bound << shift  # word >> shift < bound exactly when word < limit
-            accept = words < limit[0]
-            while True:
-                again = words < limit.take(np.cumsum(accept) - accept)
-                if np.array_equal(again, accept):
-                    break
-                accept = again
-            taken = np.flatnonzero(accept)
-            draws[t : t + len(taken)] = words[taken] >> shift[: len(taken)]
+        words = np.empty(0, dtype=np.uint32)  # read but not yet spent
+        while len(words) or n - 1 - t > _TAIL:
+            m = n - t
+            k = m.bit_length()
+            if not len(words):
+                # W words hold about W**2 / 2**(k+1) unsure ones: W grows as 2**(k/2)
+                words = self._words(min(_WINDOW, 16 << (k // 2), m - 1))
+            span = m + 1 - (1 << (k - 1))  # the bounds m down to 2**(k-1) keep k bits
+            r = words >> (32 - k)
+            reject = r >= m
+            accept = r + np.arange(len(r), dtype=np.uint32) < m  # r < m - q
+            unsure = np.flatnonzero(accept == reject)  # neither: m - q <= r < m
+            sure_rejects = np.searchsorted(np.flatnonzero(reject), unsure).tolist()
+            rejected = 0  # unsure words rejected so far
+            for q, before, rq in zip(unsure.tolist(), sure_rejects, r[unsure].tolist()):
+                a = q - before - rejected  # words accepted before word q
+                if a >= span:
+                    break  # the span's draws are taken before word q
+                if rq < m - a:
+                    accept[q] = True
+                else:
+                    rejected += 1
+            taken = np.flatnonzero(accept)[:span]
+            draws[t : t + len(taken)] = r[taken]
             t += len(taken)
+            words = words[taken[-1] + 1 :] if len(taken) == span else words[:0]
         # the last draws reject often and change bound every step: one by one, by randrange's rule
         getrandbits, tail = self._random.getrandbits, []
         for m in range(n - t, 1, -1):

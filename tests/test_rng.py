@@ -53,12 +53,15 @@ def test_derive_seed_is_stable_and_spreads():
 # differential: the bulk engine against the stdlib generator it reproduces
 
 MASK64 = (1 << 64) - 1
-# powers of two and their neighbours. A shuffle of n makes n - 1 draws and takes the
-# last 256 one by one, so 257 is all tail; 258 is the first size with a window (of 257
-# words) and 4097 the first with a full window of 4096; 4098, 4353 and 4354 then read
-# a smaller window before the tail
-EDGE_SIZES = sorted({m for k in range(13) for m in (2**k - 1, 2**k, 2**k + 1) if m >= 1}
-                    | {258, 259, 4098, 4353, 4354})
+# powers of two and their neighbours, where the words at hand straddle a change of the
+# bound's bit length k and are carried across it. A shuffle of n makes n - 1 draws and
+# takes the last 1024 one by one, so 1025 is all tail and 1026 the first size with a
+# window; its first span is 3 draws, then its words are carried into the tail's bounds.
+# A window holds 16 << (k // 2) words, at most 4096: 512 for bounds below 2**11, 1024
+# from 2**11, 2048 from 2**13 and 4096 from 2**15 on. The draws left would cap a window
+# below that, but with this tail they never do: 16 << (k // 2) is below them for k >= 11
+EDGE_SIZES = sorted({m for k in range(17) for m in (2**k - 1, 2**k, 2**k + 1) if m >= 1}
+                    | {1026, 1027})
 SEEDS = st.one_of(st.sampled_from([0, MASK64]), st.integers(0, 2**70))
 
 
@@ -69,7 +72,7 @@ def stdlib_order(seed, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.one_of(st.integers(1, 5000), st.sampled_from(EDGE_SIZES)), seed=SEEDS)
+@given(n=st.one_of(st.integers(1, 20_000), st.sampled_from(EDGE_SIZES)), seed=SEEDS)
 def test_shuffle_matches_stdlib(n, seed):
     order = Rng(seed).shuffle(n)
     assert order.dtype == np.int32
@@ -79,6 +82,30 @@ def test_shuffle_matches_stdlib(n, seed):
 def test_shuffle_matches_stdlib_at_512_squared():
     for seed in (0, MASK64):
         assert Rng(seed).shuffle(512 * 512).tolist() == stdlib_order(seed, 512 * 512)
+
+
+def check_draws(n):
+    """_draws(n) is randrange(m) for m = n, ..., 2, and leaves the stdlib's state."""
+    for seed in (0, 5, MASK64):
+        rng, reference = Rng(seed), random.Random(seed)
+        assert rng._draws(n).tolist() == [reference.randrange(m) for m in range(n, 1, -1)]
+        assert rng._random.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("n", [2**k + d for k in range(9, 19) for d in (0, 1, 2, 3, 300)])
+def test_draws_match_randrange_across_bit_lengths(n):
+    # the first bound 2**k + d keeps its k + 1 bits for only d + 1 draws: the words read
+    # for them are carried to the k-bit bounds, some of them past the tail's edge
+    check_draws(n)
+
+
+@pytest.mark.parametrize("tail", [0, 256])
+def test_windows_capped_by_the_draws_left(monkeypatch, tail):
+    # with a shorter tail the draws left cap some windows: a read at the bound 512 takes
+    # 511 words, not 512, and without a tail so does every read below the bound 2**8
+    monkeypatch.setattr("lsblab.rng._TAIL", tail)
+    for n in (2, 3, 5, 17, 100, 257, 258, 511, 512, 513, 1026, 4097):
+        check_draws(n)
 
 
 class WordCounter(random.Random):
@@ -91,8 +118,9 @@ class WordCounter(random.Random):
         return super().getrandbits(k)
 
 
-@pytest.mark.parametrize("n", [1, 2, 256, 257, 258, 259, 300, 4096, 4097, 4098,
-                               4353, 4354, 10_000, 65_536])
+@pytest.mark.parametrize("n", [1, 2, 256, 257, 258, 259, 300, 1025, 1026, 1027, 1300, 2048,
+                               2049, 4096, 4097, 4098, 4353, 4354, 8193, 10_000, 2**14 + 3,
+                               2**15 + 300, 65_536])
 def test_shuffle_reads_only_the_words_the_stdlib_reads(n):
     # no word is read past the last draw, so none has to be given back
     for seed in (0, 5, MASK64):
