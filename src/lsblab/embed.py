@@ -312,14 +312,28 @@ def extract(stego: GrayImage, config: EmbedConfig) -> np.ndarray:
     """Read back the payload under the shared seed and traversal.
 
     _read gives the bits the visited pixels carry: lsbm reads each LSB,
-    lsbmr reads LSB(y1) and f_pair(y1, y2) per pair. The 32-bit frame then
-    says how many payload bits follow; they come back as a uint8 array.
+    lsbmr reads LSB(y1) and f_pair(y1, y2) per pair, so 32 pixels carry the
+    32-bit frame in both families. The frame is read first and checked
+    against the usable pixels (every pixel, or every whole pair); then only
+    the framed prefix is read, up to a whole pair, and its payload bits come
+    back as a uint8 array. Raster visits 0..N-1, so its prefix is read in
+    place; permuted gathers the prefix through the shuffled order.
     """
-    order = traversal_order(stego, config.traversal, config.seed)
-    bits = _read(stego.pixels.ravel()[order], config.method.startswith("lsbmr"))
-    declared = frame_length(bits[:FRAME_BITS])
-    if FRAME_BITS + declared > len(bits):
+    pairwise = config.method.startswith("lsbmr")
+    flat = stego.pixels.ravel()
+    usable = 2 * (len(flat) // 2) if pairwise else len(flat)
+    order = None  # raster visits 0..N-1: its prefix is a view, and no order is built
+    if config.traversal != "raster":
+        order = traversal_order(stego, config.traversal, config.seed)
+
+    def prefix(k: int) -> np.ndarray:
+        """The first k visited values."""
+        return flat[:k] if order is None else flat[order[:k]]
+
+    declared = frame_length(_read(prefix(min(FRAME_BITS, usable)), pairwise))
+    k = FRAME_BITS + declared
+    if k > usable:
         raise FramingError(
-            f"declared payload of {declared} bits exceeds the {len(bits) - FRAME_BITS} available"
+            f"declared payload of {declared} bits exceeds the {usable - FRAME_BITS} available"
         )
-    return bits[FRAME_BITS : FRAME_BITS + declared]
+    return _read(prefix(k + (k & 1 if pairwise else 0)), pairwise)[FRAME_BITS:k]  # whole pairs

@@ -101,10 +101,12 @@ def read_pgm(data: bytes) -> GrayImage:
     if not data[pos : pos + 1].isspace():
         raise PgmFormatError("raster: missing separator after maxval")
     pos += 1
-    raster = data[pos : pos + width * height]
-    if len(raster) < width * height:
-        raise PgmFormatError(f"raster: expected {width}x{height} pixels, got {len(raster)} bytes")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    # checked before frombuffer, so huge header dimensions fail cleanly
+    if len(data) - pos < width * height:
+        raise PgmFormatError(
+            f"raster: expected {width}x{height} pixels, got {len(data) - pos} bytes")
+    # one copy, straight out of the input: slicing first would copy the raster twice
+    pixels = np.frombuffer(data, np.uint8, width * height, pos).reshape(height, width).copy()
     return GrayImage(pixels)
 
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -605,14 +606,18 @@ def test_wire_contract_in_stdlib_terms(data):
         rows = reference.embed(cover.pixels.tolist(), bits, family, seed, traversal)
         assert stego.pixels.tolist() == rows
         # the receiver side: pure stdlib decoding
-        values = [v for row in rows for v in row]
-        if family == "lsbm":
-            read = [values[i] & 1 for i in order]
-        else:
-            read = []
-            for i1, i2 in zip(order[0::2], order[1::2]):
-                read += [values[i1] & 1, ((values[i1] >> 1) + values[i2]) & 1]
+        read = stdlib_read([v for row in rows for v in row], order, family)
         assert read[32 : 32 + int("".join(map(str, read[:32])), 2)] == bits
+
+
+def stdlib_read(values, order, family):
+    """The bits every visited pixel carries: each LSB, or per whole pair LSB(y1), f_pair(y1, y2)."""
+    if family == "lsbm":
+        return [values[i] & 1 for i in order]
+    read = []
+    for i1, i2 in zip(order[0::2], order[1::2]):
+        read += [values[i1] & 1, ((values[i1] >> 1) + values[i2]) & 1]
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +643,116 @@ def test_extract_rejects_tiny_carrier():
     stego = GrayImage(np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(FramingError):
         extract(stego, EmbedConfig(method="lsbm", seed=0))
+
+
+def full_read_decode(stego, cfg):
+    """The payload by a stdlib receiver that reads every visited pixel, then the frame."""
+    order = reference.visiting_order(stego.n_pixels, cfg.seed, cfg.traversal)
+    family = "lsbmr" if cfg.method.startswith("lsbmr") else "lsbm"
+    read = stdlib_read(stego.pixels.ravel().tolist(), order, family)
+    if len(read) < 32:
+        raise FramingError(f"stream of {len(read)} bits is shorter than the 32-bit prefix")
+    declared = int("".join(map(str, read[:32])), 2)
+    if 32 + declared > len(read):
+        raise FramingError(f"declared payload of {declared} bits exceeds the {len(read) - 32} available")
+    return read[32 : 32 + declared]
+
+
+def carrying(raster, cfg, bits):
+    """raster (flat ints) changed so its first visited pixels carry bits, by stdlib_read's rule."""
+    values = list(raster)
+    order = reference.visiting_order(len(values), cfg.seed, cfg.traversal)
+    if not cfg.method.startswith("lsbmr"):
+        for i, b in zip(order, bits):
+            values[i] = values[i] & ~1 | b
+        return values
+    bits = list(bits) + [0] * (len(bits) & 1)
+    for i1, i2, s1, s2 in zip(order[0::2], order[1::2], bits[0::2], bits[1::2]):
+        values[i1] = values[i1] & ~1 | s1
+        values[i2] = values[i2] & ~1 | s2 ^ (values[i1] >> 1 & 1)  # f_pair(y1, y2) == s2
+    return values
+
+
+def check_extract(h, w, raster, cfg, declared, payload):
+    """extract on a stego framing `declared` bits against full_read_decode: same bits or text."""
+    frame = [int(b) for b in format(declared, "032b")]
+    stego = GrayImage(np.array(carrying(raster, cfg, frame + payload), dtype=np.uint8).reshape(h, w))
+    try:
+        want = full_read_decode(stego, cfg)
+    except FramingError as exc:
+        with pytest.raises(FramingError, match=f"^{re.escape(str(exc))}$"):
+            extract(stego, cfg)
+        return None
+    got = extract(stego, cfg)
+    assert got.dtype == np.uint8 and got.tolist() == want
+    return got
+
+
+# the framed lengths: the capacity exactly and one past it, no payload, an odd
+# length one pair short of the capacity (lsbmr rounds it up to the last pair);
+# a carrier of fewer than 32 usable pixels holds no frame at all
+DECLARED = {"capacity": lambda usable: max(usable - 32, 0), "over": lambda usable: max(usable - 31, 0),
+            "zero": lambda usable: 0, "odd": lambda usable: max(usable - 33, 0)}
+
+
+@pytest.mark.parametrize("traversal", ["raster", "permuted"])
+@pytest.mark.parametrize("method", ["lsbm", "lsbmr"])
+@pytest.mark.parametrize("w", [1, 31, 32, 33, 34, 35, 64])
+@pytest.mark.parametrize("declared", sorted(DECLARED))
+def test_extract_reads_the_framed_prefix_at_the_edges(traversal, method, w, declared):
+    # 1xN carriers: fewer than 32 usable pixels, exactly 32, and odd counts,
+    # where lsbmr's last pixel carries nothing
+    cfg = EmbedConfig(method=method, seed=7, traversal=traversal)
+    usable = 2 * (w // 2) if method == "lsbmr" else w
+    n = DECLARED[declared](usable)
+    payload = Rng(w).bits(min(n, max(usable - 32, 0))).tolist()
+    got = check_extract(1, w, np.random.default_rng(w).integers(0, 256, w).tolist(), cfg, n,
+                        payload)
+    if usable < 32 or declared == "over":
+        assert got is None
+    else:
+        assert got.tolist() == payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_extract_matches_a_full_read_decode(data):
+    # arbitrary stegos, small and thin ones included, whose frame declares up
+    # to the capacity, just past it, or any 32-bit count
+    h, w = data.draw(st.one_of(st.tuples(st.integers(1, 9), st.integers(1, 12)),
+                               st.tuples(st.just(1), st.integers(1, 80)),
+                               st.sampled_from([(1, 33), (33, 1), (3, 11)])), label="shape")
+    raster = data.draw(st.binary(min_size=w * h, max_size=w * h), label="raster")
+    cfg = EmbedConfig(method=data.draw(st.sampled_from(METHODS), label="method"),
+                      seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+                      traversal=data.draw(st.sampled_from(["raster", "permuted"]), label="traversal"))
+    usable = 2 * (w * h // 2) if cfg.method.startswith("lsbmr") else w * h
+    which = data.draw(st.sampled_from(sorted(DECLARED) + ["any", "32-bit"]), label="declared")
+    if which == "any":
+        declared = data.draw(st.integers(0, max(usable - 32, 0)), label="n")
+    elif which == "32-bit":
+        declared = data.draw(st.integers(0, 2**32 - 1), label="n")
+    else:
+        declared = DECLARED[which](usable)
+    payload = draw_bits(data, min(declared, max(usable - 32, 0)))
+    check_extract(h, w, raster, cfg, declared, payload)
+
+
+@pytest.mark.parametrize("traversal", ["raster", "permuted"])
+def test_extract_leaves_the_stego_raster_alone(traversal):
+    # extract reads a raster prefix in place: it must neither write to it nor
+    # need it writable
+    cover = synthetic_image(24, 16, 5)
+    bits = Rng(8).bits(200).tolist()
+    for method in ("lsbm", "lsbmr"):
+        cfg = EmbedConfig(method=method, seed=9, traversal=traversal)
+        raw = embed(cover, bits, cfg).pixels.tobytes()
+        read_only = GrayImage(np.frombuffer(raw, dtype=np.uint8).reshape(16, 24))
+        writable = GrayImage(read_only.pixels.copy())
+        assert not read_only.pixels.flags.writeable
+        for stego in (read_only, writable):
+            assert extract(stego, cfg).tolist() == bits
+            assert stego.pixels.tobytes() == raw
 
 
 WRONG_KEY_COVERS = {
