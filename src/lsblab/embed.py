@@ -322,7 +322,7 @@ def extract(stego: GrayImage, config: EmbedConfig) -> np.ndarray:
     pairwise = config.method.startswith("lsbmr")
     flat = stego.pixels.ravel()
     usable = 2 * (len(flat) // 2) if pairwise else len(flat)
-    order = None  # raster visits 0..N-1: its prefix is a view, and no order is built
+    order = None
     if config.traversal != "raster":
         order = traversal_order(stego, config.traversal, config.seed)
 

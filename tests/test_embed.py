@@ -654,7 +654,8 @@ def full_read_decode(stego, cfg):
         raise FramingError(f"stream of {len(read)} bits is shorter than the 32-bit prefix")
     declared = int("".join(map(str, read[:32])), 2)
     if 32 + declared > len(read):
-        raise FramingError(f"declared payload of {declared} bits exceeds the {len(read) - 32} available")
+        raise FramingError(
+            f"declared payload of {declared} bits exceeds the {len(read) - 32} available")
     return read[32 : 32 + declared]
 
 
@@ -691,17 +692,19 @@ def check_extract(h, w, raster, cfg, declared, payload):
 # the framed lengths: the capacity exactly and one past it, no payload, an odd
 # length one pair short of the capacity (lsbmr rounds it up to the last pair);
 # a carrier of fewer than 32 usable pixels holds no frame at all
-DECLARED = {"capacity": lambda usable: max(usable - 32, 0), "over": lambda usable: max(usable - 31, 0),
+DECLARED = {"capacity": lambda usable: max(usable - 32, 0),
+            "over": lambda usable: max(usable - 31, 0),
             "zero": lambda usable: 0, "odd": lambda usable: max(usable - 33, 0)}
 
 
 @pytest.mark.parametrize("traversal", ["raster", "permuted"])
 @pytest.mark.parametrize("method", ["lsbm", "lsbmr"])
-@pytest.mark.parametrize("w", [1, 31, 32, 33, 34, 35, 64])
+@pytest.mark.parametrize("w", [1, 31, 32, 33, 35, 64])
 @pytest.mark.parametrize("declared", sorted(DECLARED))
 def test_extract_reads_the_framed_prefix_at_the_edges(traversal, method, w, declared):
     # 1xN carriers: fewer than 32 usable pixels, exactly 32, and odd counts,
-    # where lsbmr's last pixel carries nothing
+    # where lsbmr's last pixel carries nothing (1x35: an odd framed length
+    # reads the last whole pair)
     cfg = EmbedConfig(method=method, seed=7, traversal=traversal)
     usable = 2 * (w // 2) if method == "lsbmr" else w
     n = DECLARED[declared](usable)
