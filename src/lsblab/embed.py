@@ -24,8 +24,9 @@ just before it in its run (in raster order, its left neighbor), counts that
 change's new value: a fixed one, or whichever of a free step's -1 and +1
 one scan in visiting order finds taken. So a raster-order run is about one
 image row. At T <= 1 every vote ties: the baselines (T = 0) are one run.
-Plans of several covers (a benchmark cell's images) settle together, run r
-of each in pass r, with each cover's own coins: the same bytes as one by one.
+Plans of several covers (a benchmark chunk's images, in every cell of one
+threshold) settle together, run r of each in pass r, with each plan's own
+coins: the same bytes as one by one.
 Each pixel is written once, by its own change, so only the neighbor gather
 reads what earlier runs wrote; the rest of every vote is known up front.
 
@@ -176,23 +177,30 @@ def _runs(at: np.ndarray, fi: np.ndarray, around: np.ndarray, size: int, ends: l
     fi are the free changes' indices into at, and fq = at[fi] their positions.
     A job's first change starts a run, and so does a free change that
     neighbors a change of the current run other than the one planned just
-    before it. around are the offsets a vote reads in a raster of `size` pixels.
+    before it. around are the eight offsets a vote reads at T > 1, in a raster
+    of `size` pixels. The jobs' runs are found in lockstep: each step finds the next start of
+    every job at once, so a batch takes as many steps as its most runs.
     """
     dep = np.full(len(fi), -1, dtype=np.int32)  # latest earlier neighboring change but i - 1
-    if len(around):
-        visit = np.full(size, -1, dtype=np.int32)
-        visit[at] = np.arange(len(at), dtype=np.int32)
-        last = fi - 1
-        for offset in around.tolist():
-            seen = visit.take(fq + offset)
-            np.maximum(dep, seen, out=dep, where=seen < last)
+    visit = np.full(size, -1, dtype=np.int32)
+    visit[at] = np.arange(len(at), dtype=np.int32)
+    # each offset reads visit shifted by it, at q: intp, which take need not cast
+    low, last, q = -int(around.min()), fi - 1, fq.astype(np.intp)
+    q -= low
+    for offset in around.tolist():
+        seen = visit[low + offset :].take(q)
+        np.maximum(dep, np.where(seen < last, seen, -1), out=dep)
     reach = np.maximum.accumulate(dep)  # sorted: the first dep >= s reads the run at s
-    starts = [0]
-    for end in ends:  # an earlier job's deps all sit before this job's first change
-        while starts[-1] < end:
-            j = int(reach.searchsorted(np.int32(starts[-1])))  # a Python int would copy reach
-            starts.append(min(int(fi[j]), end) if j < len(fi) else end)
-    return starts
+    after = np.concatenate((fi, [len(at)]), dtype=np.int32)  # the change a search finds, or the end
+    stop = np.array(ends, dtype=np.int32)
+    # each job's first change, then its next run start: an earlier job's deps all
+    # sit before this job's first change, so a search from it finds this job's own
+    cur = np.array([0] + ends[:-1], dtype=np.int32)
+    found = []
+    while (now := cur.tolist()) != ends:  # a job at its end stays there
+        found += now
+        cur = np.minimum(after.take(reach.searchsorted(cur)), stop)
+    return sorted(set(found + ends))  # each end starts the next job's first run, or is len(at)
 
 
 def _pull(d: np.ndarray, t: int) -> np.ndarray:
@@ -216,11 +224,13 @@ def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
     together on their _stack. Each free step follows the README rule: a
     saturated pixel steps inward, the vote (its neighbors' summed _pull) takes
     the step with the smaller sum, and a tie or an empty mask takes its job's
-    next coin. Pass r settles run r (see _runs) of every job: one gather reads
+    next coin; the jobs of one seed read one draw, as long as the hungriest
+    needs. Pass r settles run r (see _runs) of every job: one gather reads
     what earlier passes wrote, chained changes add the swing of their
     predecessor's step, and one scan per job settles those whose predecessor's
-    step decides. Cover values, free changes, swings and pass bounds are fixed
-    for the call (see the module docstring): found once.
+    step decides. At T <= 1 every job is one run, so one pass settles them all.
+    Cover values, free changes, swings and pass bounds are fixed for the call
+    (see the module docstring): found once.
     """
     stack = _stack([cover for cover, *_ in jobs])
     stride, block = stack.shape[2], stack[0].size  # job g's block starts at g * block
@@ -234,26 +244,31 @@ def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
     fq = at[fi]
     # each job's next coin, then the coin count (int32 keys: wider ones copy fi to int64)
     nxt = np.searchsorted(fi, np.array([0] + ends, dtype=np.int32)).tolist()
-    coins = np.concatenate([_coins(seed, b - a) for (*_, seed), a, b in zip(jobs, nxt, nxt[1:])])
+    most = {}  # jobs of one seed slice one draw: bits(n) is a prefix of bits(m)
+    for (*_, seed), a, b in zip(jobs, nxt, nxt[1:]):
+        most[seed] = max(most.get(seed, 0), b - a)
+    drawn = {seed: _coins(seed, n) for seed, n in most.items()}
+    coins = np.concatenate([drawn[seed][: b - a] for (*_, seed), a, b in zip(jobs, nxt, nxt[1:])])
     around = np.array([-stride - 1, -stride, -stride + 1, -1, 1, stride - 1, stride, stride + 1]
                       if t > 1 else [], dtype=np.int32)  # at T <= 1 every vote ties
     linked = np.zeros(len(at), dtype=bool)  # a free change next to the change before it
+    starts = [0, len(at)]  # at T <= 1 every job is one run, so one pass settles them all
     if t > 1:  # neighbors sit 1, stride - 1, stride or stride + 1 apart
         gap = np.abs(np.diff(at))
         linked[1:] = free[1:] & ((gap == 1) | (np.abs(gap - stride) <= 1))
-    starts = _runs(at, fi, around, len(out), ends, fq)
-    # each run votes on the raster as it stood before the run, then writes. A
-    # chained change neighbors the change planned just before it, in its run:
-    # its vote takes that change's new value, or both candidates if it is free
-    linked[starts[:-1]] = False  # a run's first change reads its predecessor as written
-    if len(jobs) > 1:  # number each change's run in its job; pass r is then one slice, job-major
-        run = np.repeat(np.arange(len(starts) - 1, dtype=np.int32), np.diff(starts))
-        run -= np.repeat(np.searchsorted(starts, [0] + ends[:-1]), np.diff([0] + ends))
-        order = np.argsort(run, kind="stable")
-        at, new, linked = at[order], new[order], linked[order]
-        fi = np.flatnonzero(new == _FREE).astype(np.int32)
-        fq = at[fi]
-        starts = [0] + np.cumsum(np.bincount(run)).tolist()  # where each pass starts
+        starts = _runs(at, fi, around, len(out), ends, fq)
+        # each run votes on the raster as it stood before the run, then writes. A
+        # chained change neighbors the change planned just before it, in its run:
+        # its vote takes that change's new value, or both candidates if it is free
+        linked[starts[:-1]] = False  # a run's first change reads its predecessor as written
+        if len(jobs) > 1:  # number each change's run in its job; pass r is then one slice, job-major
+            run = np.repeat(np.arange(len(starts) - 1, dtype=np.int32), np.diff(starts))
+            run -= np.repeat(np.searchsorted(starts, [0] + ends[:-1]), np.diff([0] + ends))
+            order = np.argsort(run, kind="stable")
+            at, new, linked = at[order], new[order], linked[order]
+            fi = np.flatnonzero(new == _FREE).astype(np.int32)
+            fq = at[fi]
+            starts = [0] + np.cumsum(np.bincount(run)).tolist()  # where each pass starts
     # pass r's free changes are fi[fs[r]:fs[r + 1]], its chained ones li[cs[r]:cs[r + 1]]
     li, pulls = np.flatnonzero(linked).astype(np.int32), _pulls(t)
     bounds = np.array(starts, dtype=np.int32)  # int32 keys, as for nxt

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import product
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -168,7 +169,21 @@ class ReportRow:
     detect_pct: float
 
 
-_CHUNK_PIXELS = 1 << 15  # a benchmark chunk's pixels: its images settle each cell in one batch
+_CHUNK_PIXELS = 1 << 18  # a settle batch's job pixels: its jobs times their padded block
+
+
+def _chunks(corpus: Sequence[GrayImage], jobs_per_cover: int) -> Iterator[range]:
+    """Runs of the corpus, each grown cover by cover while its covers' jobs fit _CHUNK_PIXELS.
+
+    A batch pads every block to its largest height and width, plus the border.
+    """
+    lo, h, w = 0, 0, 0
+    for i, image in enumerate(corpus):
+        h, w = max(h, image.height), max(w, image.width)
+        if i > lo and jobs_per_cover * (i + 1 - lo) * (h + 2) * (w + 2) > _CHUNK_PIXELS:
+            yield range(lo, i)
+            lo, h, w = i, image.height, image.width
+    yield range(lo, len(corpus))
 
 
 def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
@@ -180,8 +195,11 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
     per cell: its cover features, its keyed permutation (one shuffle, shared
     by every method and rate) and its framed message at each rate (shared by
     every method). A null cell reuses the cover features. The train/test
-    split is drawn once. A cell's images settle in shared passes, at most
-    _CHUNK_PIXELS pixels at a time, with the same bytes. Nothing is kept between calls.
+    split is drawn once. The embedding cells that share a _settle threshold
+    settle together: chunk by chunk of covers, each chunk's images of all
+    those cells in one batch of at most _CHUNK_PIXELS job pixels, in which an
+    image's cells share one coin draw. Same bytes as cell by cell. Nothing
+    is kept between calls.
     """
     if len(corpus) < 20:
         raise ValueError(f"corpus of {len(corpus)} images is too small; need at least 20")
@@ -195,25 +213,27 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
             _capacity(image, budget, EmbedConfig(method).method.startswith("lsbmr"))
     cover_x = _features(corpus)
     stego_x = np.empty((len(cells),) + cover_x.shape)
-    per_chunk = max(1, _CHUNK_PIXELS // max(image.n_pixels for image in corpus))
-    for lo in range(0, len(corpus), per_chunk):
-        chunk = range(lo, min(lo + per_chunk, len(corpus)))
-        orders, framed = None, {}
-        for c, (method, rate) in enumerate(cells):
-            if method is None:  # null experiment: the "stego" image is the cover itself
-                stego_x[c, chunk] = cover_x[chunk]
-                continue
-            configs = [_experiment_config(method, threshold, i, seed) for i in chunk]
-            if orders is None:
-                orders = [traversal_order(corpus[i], config.traversal, config.seed)
-                          for i, config in zip(chunk, configs)]
-            if rate not in framed:
-                framed[rate] = [frame_bits(_message_bits(rate, corpus[i].n_pixels,
-                                                         derive_seed(seed, i, _TAG_MESSAGE)))
-                                for i in chunk]
-            jobs = [_job(corpus[i], bits, config, order)
-                    for i, bits, config, order in zip(chunk, framed[rate], configs, orders)]
-            for i, stego in zip(chunk, _settle(jobs, _threshold(configs[0]))):
+    groups: dict[int, list[int]] = {}  # the embedding cells of each _settle threshold
+    for c, (method, rate) in enumerate(cells):
+        if method is None:  # null experiment: the "stego" image is the cover itself
+            stego_x[c] = cover_x
+        else:
+            groups.setdefault(_threshold(EmbedConfig(method, threshold)), []).append(c)
+    for chunk in _chunks(corpus, max(map(len, groups.values()), default=0)):
+        orders, framed = {}, {}  # per image, and per rate: shared by every cell
+        for t, group in groups.items():
+            jobs = []
+            for method, rate in (cells[c] for c in group):
+                if rate not in framed:
+                    framed[rate] = [frame_bits(_message_bits(rate, corpus[i].n_pixels,
+                                                             derive_seed(seed, i, _TAG_MESSAGE)))
+                                    for i in chunk]
+                for i, bits in zip(chunk, framed[rate]):
+                    config = _experiment_config(method, threshold, i, seed)
+                    if i not in orders:
+                        orders[i] = traversal_order(corpus[i], config.traversal, config.seed)
+                    jobs.append(_job(corpus[i], bits, config, orders[i]))
+            for (c, i), stego in zip(product(group, chunk), _settle(jobs, t)):
                 stego_x[c, i] = band_features(stego)
     cover_e = _mean_energies(cover_x).mean(axis=0)
     split = Rng(derive_seed(seed, _TAG_SPLIT)).shuffle(len(corpus))

@@ -1,6 +1,7 @@
 import importlib
 import math
 import re
+import signal
 from dataclasses import replace
 from unittest import mock
 
@@ -589,7 +590,68 @@ def test_batch_jobs_without_free_changes_settle_as_alone():
     assert _settle(jobs[::-1], 4) == alone[::-1]
 
 
-@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("t", [0, 1, 4])
+def test_batch_jobs_sharing_a_coin_seed_settle_as_alone(t):
+    # a benchmark image's cells share its coin seed: the batch draws that seed's
+    # coins once, as many as its hungriest job needs, and each job reads a prefix.
+    # Either order puts the job with the fewest free changes first for one seed
+    cover, other = synthetic_image(24, 10, seed=41), synthetic_image(16, 12, seed=42)
+    jobs = []
+    for image, method, n_bits, seed in ((cover, "lsbm", 200, 43), (other, "lsbm", 150, 44),
+                                        (cover, "lsbmr", 40, 43), (cover, "lsbm", 90, 43)):
+        cfg = EmbedConfig(method=method, seed=seed, traversal="permuted")
+        framed = frame_bits(Rng(n_bits).bits(n_bits))
+        jobs.append(_job(image, framed, cfg, traversal_order(image, cfg.traversal, seed)))
+    free = [int(np.count_nonzero(job[2] == _FREE)) for job in jobs]
+    assert free[0] > free[3] > free[2] > 0
+    alone = [_settle([job], t)[0] for job in jobs]
+    assert _settle(jobs, t) == alone
+    assert _settle(jobs[::-1], t) == alone[::-1]
+
+
+def test_batch_runs_are_each_jobs_greedy_runs():
+    # smooth covers of four shapes at rate 0.8, raster and permuted: the jobs have
+    # from a handful to dozens of runs, so the lockstep search reaches some jobs'
+    # ends many steps before others'. A job without changes sits between them
+    found = []
+    real_runs = embed_module._runs
+
+    def spy(*args):
+        found.append((args, real_runs(*args)))
+        return found[-1][1]
+
+    shapes = ((64, 16, "raster"), (9, 30, "permuted"), (40, 40, "permuted"), (200, 2, "raster"))
+    jobs = []
+    for i, (w, h, traversal) in enumerate(shapes):
+        cover = synthetic_image(w, h, seed=45 + i)
+        cfg = EmbedConfig(method="lsbm_improved", seed=46 + i, traversal=traversal)
+        framed = frame_bits(Rng(47 + i).bits(int(0.8 * cover.n_pixels) - 32))
+        jobs.append(_job(cover, framed, cfg, traversal_order(cover, traversal, cfg.seed)))
+    carrier = synthetic_image(8, 8, seed=49)
+    jobs.insert(2, _job(carrier, carrier.pixels.ravel()[:40] & 1, EmbedConfig("lsbm"),
+                        traversal_order(carrier, "raster", 0)))
+    assert len(jobs[2][1]) == 0
+    def overrun(signum, frame):
+        raise TimeoutError("the run search did not stop at each job's end")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(30)
+    try:
+        with mock.patch.object(embed_module, "_runs", spy):
+            _settle(jobs, 4)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    (at, fi, around, _, ends, _), starts = found[0]
+    want, begin = [], 0
+    for end in ends:
+        mine = fi[(fi >= begin) & (fi < end)] - begin
+        want += [begin + s for s in greedy_runs(at[begin:end], mine, around)[:-1]]
+        begin = end
+    want = sorted(set(want)) + [len(at)]
+    per_job = [sum(begin <= s < end for s in want) for begin, end in zip([0] + ends, ends)]
+    assert per_job[2] == 0 and min(per_job[:2] + per_job[3:]) < 10 < max(per_job)
+    assert starts == want
 @given(data=st.data())
 def test_wire_contract_in_stdlib_terms(data):
     # the README's contract: traversal is random.Random(seed).shuffle, coins are

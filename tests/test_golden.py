@@ -16,7 +16,7 @@ import pytest
 from lsblab.bits import bytes_to_bits
 from lsblab.cli import main
 from lsblab.embed import EmbedConfig, embed, extract
-from lsblab.harness import synthetic_image
+from lsblab.harness import benchmark, report_csv, report_svg, synthetic_image
 from lsblab.image import GrayImage, save_pgm, write_pgm
 
 METHODS = ("lsbm", "lsbmr", "lsbm_improved", "lsbmr_improved")
@@ -158,6 +158,16 @@ FEATURES_DIGEST = "86fd30bc3ed7c91488840987c55305a48bc8a489f58701b910c11c70a6a60
 BENCH_CSV_DIGEST = "4a47161a315159452e13a51752160ef82dee3453be3e0bc08fcf920972254e05"
 BENCH_SVG_DIGEST = "7d939697a4d7e45188b3e6d685cf86e3b487777d8fcd368fd5ce462d72cdcf7a"
 
+# every method at two rates on covers of five shapes (width x height): square,
+# wide, tall, odd-sized and a 2-wide strip share each settle batch, padded to one block
+MIXED_SHAPES = ((32, 32), (48, 16), (16, 48), (33, 21), (2, 128))
+MIXED_BENCH_DIGESTS = {  # T: (CSV, SVG)
+    4: ("3be178e27720dd3185a91767f11cd21b727ef33a14fe642960b922b35fac8767",
+        "87659a9cfe6d6714d8eca54a21a27a2093ea943e050652e43df335fe02b87053"),
+    0: ("940982ec7819ec656fdc4f0ec63da925d85df719a0e93bae29ab617e926ad5ee",
+        "87f38ed9854e3557766d2788e412ef20b189589262befc3402f325500a25c200"),
+}
+
 
 @pytest.mark.parametrize("name", sorted(COVERS))
 def test_cover_digest(name):
@@ -192,3 +202,11 @@ def test_bench_report_digests(tmp_path):
                  "--rates", "0.8", "--seed", "9", "--out", str(csv), "--svg", str(svg)]) == 0
     assert sha256(csv.read_bytes()) == BENCH_CSV_DIGEST
     assert sha256(svg.read_bytes()) == BENCH_SVG_DIGEST
+
+
+@pytest.mark.parametrize("threshold", sorted(MIXED_BENCH_DIGESTS))
+def test_bench_report_digests_on_mixed_shapes(threshold):
+    corpus = [synthetic_image(*MIXED_SHAPES[i % len(MIXED_SHAPES)], seed=50 + i) for i in range(20)]
+    rows = benchmark(corpus, METHODS, [0.3, 0.9], threshold=threshold, seed=51)
+    digests = sha256(report_csv(rows).encode()), sha256(report_svg(rows).encode())
+    assert digests == MIXED_BENCH_DIGESTS[threshold]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,20 +242,38 @@ def mixed_corpus(seed):
     return [synthetic_image(*MIXED_SIZES[i % len(MIXED_SIZES)], seed=seed + i) for i in range(20)]
 
 
-@pytest.mark.parametrize("chunk_pixels", [lsblab.harness._CHUNK_PIXELS, 1500])
-@pytest.mark.parametrize("threshold", [0, 4, 300])
+@pytest.mark.parametrize("chunk_pixels", [lsblab.harness._CHUNK_PIXELS, 32768, 1500])
+@pytest.mark.parametrize("threshold", [0, 1, 4, 300])
 @pytest.mark.parametrize("methods, rates", [
     ([None, "lsbm", "lsbm_improved", "lsbm"], [1.0, 0.4, 1.0]),
     (["lsbmr", None, "lsbmr_improved", "lsbmr_improved"], [0.6, 0.3, 0.6]),
+    (["lsbmr_improved", "lsbm", None, "lsbmr", "lsbm_improved"], [0.7, 0.35]),
 ])
 def test_benchmark_matches_per_cell_reference(monkeypatch, methods, rates, threshold, chunk_pixels):
-    # the whole corpus settles in one batch, or in chunks of two covers
+    # a threshold's cells settle together: the whole corpus in one batch, in chunks
+    # of three to seven covers, or cover by cover; at T <= 1 the improved cells'
+    # votes all tie, and at T = 0 they join the baselines' batch
     monkeypatch.setattr(lsblab.harness, "_CHUNK_PIXELS", chunk_pixels)
     corpus = mixed_corpus(19)
     got = benchmark(corpus, methods, rates, threshold, seed=20)
     want = reference_benchmark(corpus, methods, rates, threshold, seed=20)
     assert report_csv(got) == report_csv(want)
     assert report_svg(got) == report_svg(want)
+
+
+def test_benchmark_budgets_padded_blocks_on_wide_and_tall_covers():
+    # a batch pads every block to its largest height and width: alternating 512x2
+    # and 2x512 covers would pad each job to 514x514, so each chunk holds one cover
+    corpus = [synthetic_image(*((512, 2) if i % 2 else (2, 512)), seed=60 + i) for i in range(20)]
+    tracemalloc.start()
+    try:
+        got = benchmark(corpus, ["lsbm_improved", "lsbmr"], [0.5], seed=61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert report_csv(got) == report_csv(reference_benchmark(corpus, ["lsbm_improved", "lsbmr"],
+                                                             [0.5], 4, 61))
 
 
 def test_benchmark_capacity_error_matches_per_cell_reference():
