@@ -9,9 +9,8 @@ import sys
 from .bits import CapacityError, FramingError, bits_to_bytes, bytes_to_bits
 from .embed import DEFAULT_THRESHOLD, TRAVERSALS, EmbedConfig, embed, extract
 from .glcm import DEFAULT_OFFSETS, band_energies, cooccurrence, energies_to_csv, matrix_to_csv
-from .harness import benchmark, report_csv, report_svg, synthetic_image
+from .harness import _synthetic_covers, benchmark, report_csv, report_svg
 from .image import PgmFormatError, load_pgm, save_pgm
-from .rng import derive_seed
 
 _METHOD_NAMES = {
     "lsbm": "lsbm",
@@ -99,12 +98,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_gen_corpus(args: argparse.Namespace) -> int:
     width, height = _parse_size(args.size)
-    if args.n < 1:
-        raise ValueError(f"corpus size must be positive, got {args.n}")
+    covers = _synthetic_covers(args.n, width, height, args.seed)  # checks n before makedirs
     os.makedirs(args.out, exist_ok=True)
-    # one cover at a time, seeded as synthetic_corpus seeds its i-th image
-    for i in range(args.n):
-        image = synthetic_image(width, height, derive_seed(args.seed, i))
+    for i, image in enumerate(covers):  # one cover at a time
         save_pgm(os.path.join(args.out, f"img_{i:04d}.pgm"), image)
     return 0
 

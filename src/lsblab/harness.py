@@ -1,4 +1,4 @@
-"""Corpus-scale evaluation: band-energy shifts and a linear detection test.
+"""Corpus-scale evaluation: a linear detection test over band-energy features.
 
 The detector is a two-class Fisher linear discriminant over the band-energy
 features, trained on a seeded train/test split of cover/stego pairs. A
@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bits import CapacityError, FRAME_BITS, frame_bits
+# embed is unused here, but perfbench/tracer.py's REQUIRED wraps lsblab.harness.embed
 from .embed import DEFAULT_THRESHOLD, EmbedConfig, _capacity, _job, _settle, _threshold, embed
 from .glcm import N_BANDS, band_features
 from .image import GrayImage, traversal_order
@@ -99,37 +100,9 @@ def _message_bits(rate: float, n_pixels: int, seed: int) -> np.ndarray:
     return Rng(seed).bits(_budget(rate, n_pixels) - FRAME_BITS)
 
 
-def _experiment_config(method: str, threshold: int, image_index: int, seed: int) -> EmbedConfig:
-    return EmbedConfig(method=method, threshold=threshold,
-                       seed=derive_seed(seed, image_index, _TAG_EMBED), traversal="permuted")
-
-
-def _features(images: Sequence[GrayImage]) -> np.ndarray:
-    """One band-feature row per image, over DEFAULT_OFFSETS."""
-    if len(images) == 0:
-        raise ValueError("corpus must be non-empty")
-    return np.stack([band_features(image) for image in images])
-
-
 def _mean_energies(x: np.ndarray) -> np.ndarray:
     # a feature row is len(DEFAULT_OFFSETS) blocks of 5 band energies; average the blocks
     return x.reshape(len(x), -1, N_BANDS).mean(axis=1)
-
-
-def energy_experiment(corpus: Sequence[GrayImage], method: str, rate: float,
-                      threshold: int = DEFAULT_THRESHOLD,
-                      seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-image (cover, stego) band energies averaged over DEFAULT_OFFSETS.
-
-    Message bits are drawn per image from seeds derived off `seed`, so a
-    rerun with the same corpus and arguments reproduces exactly, and all
-    methods at one rate see the same messages. Payloads are scattered with
-    a per-image keyed permutation, the usual operating posture.
-    """
-    stegos = [embed(image, _message_bits(rate, image.n_pixels, derive_seed(seed, i, _TAG_MESSAGE)),
-                    _experiment_config(method, threshold, i, seed))
-              for i, image in enumerate(corpus)]
-    return list(zip(_mean_energies(_features(corpus)), _mean_energies(_features(stegos))))
 
 
 def _split_accuracy(cover_x: np.ndarray, stego_x: np.ndarray, indices: np.ndarray) -> float:
@@ -211,7 +184,7 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
         for image in corpus if method else ():
             budget = _budget(rate, image.n_pixels)
             _capacity(image, budget, EmbedConfig(method).method.startswith("lsbmr"))
-    cover_x = _features(corpus)
+    cover_x = np.stack([band_features(image) for image in corpus])
     stego_x = np.empty((len(cells),) + cover_x.shape)
     groups: dict[int, list[int]] = {}  # the embedding cells of each _settle threshold
     for c, (method, rate) in enumerate(cells):
@@ -229,7 +202,8 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
                                                              derive_seed(seed, i, _TAG_MESSAGE)))
                                     for i in chunk]
                 for i, bits in zip(chunk, framed[rate]):
-                    config = _experiment_config(method, threshold, i, seed)
+                    config = EmbedConfig(method, threshold, derive_seed(seed, i, _TAG_EMBED),
+                                         "permuted")
                     if i not in orders:
                         orders[i] = traversal_order(corpus[i], config.traversal, config.seed)
                     jobs.append(_job(corpus[i], bits, config, orders[i]))
@@ -378,10 +352,15 @@ def synthetic_image(width: int, height: int, seed: int, *,
     return GrayImage(np.clip(np.rint(levels), 0, 255).astype(np.uint8))
 
 
+def _synthetic_covers(n: int, width: int, height: int, seed: int,
+                      **doses: float) -> Iterator[GrayImage]:
+    """The covers of synthetic_corpus, made one at a time; n is checked at the call."""
+    if n < 1:
+        raise ValueError(f"corpus size must be positive, got {n}")
+    return (synthetic_image(width, height, derive_seed(seed, i), **doses) for i in range(n))
+
+
 def synthetic_corpus(n: int, width: int, height: int, seed: int = 0, *,
                      texture: float = 0.6, noise: float = 0.1) -> list[GrayImage]:
     """Seeded corpus of n smooth synthetic images; no external data needed."""
-    if n < 1:
-        raise ValueError(f"corpus size must be positive, got {n}")
-    return [synthetic_image(width, height, derive_seed(seed, i), texture=texture, noise=noise)
-            for i in range(n)]
+    return list(_synthetic_covers(n, width, height, seed, texture=texture, noise=noise))

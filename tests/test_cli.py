@@ -1,14 +1,21 @@
 import argparse
+import io
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lsblab.bits import bytes_to_bits
 from lsblab.cli import build_parser, main
 from lsblab.embed import EmbedConfig, embed
 from lsblab.image import GrayImage, load_pgm, save_pgm
@@ -360,3 +367,115 @@ def test_one_command_parser_builds_only_that_subcommand(command):
 def test_full_parser_builds_every_subcommand_in_order():
     assert subcommands(build_parser()) == COMMANDS
     assert subcommands(build_parser("bogus")) == COMMANDS
+
+
+# ---------------------------------------------------------------------------
+# the failure contract as a property
+
+# Each flag's pool: one value of each kind the flag can be given, or None to
+# leave the flag out. {inputs} is a directory of file states made once per
+# test, {out} a fresh directory per run.
+INT = {"valid": "3", "empty": "", "huge": "9" * 30, "negative": "-3", "non-numeric": "3x",
+       "missing": None}
+POOLS = {
+    "seed": INT,
+    "threshold": INT,
+    # no huge count: a huge corpus is a long valid run, not a failure
+    "n": {"valid": "2", "empty": "", "negative": "-2", "non-numeric": "two", "missing": None},
+    # the huge size (about 7 EiB) fails to allocate at once
+    "size": {"valid": "8x8", "empty": "", "huge": "1000000000000000000x1", "negative": "-8x8",
+             "non-numeric": "8xy", "missing": None},
+    "offset": {"valid": "1,0", "empty": "", "huge": "1000000000000000000,1", "negative": "-1,-1",
+               "non-numeric": "1,y", "missing": None},
+    "rates": {"valid": "0.5", "empty": "", "huge": "1e308", "negative": "-0.5",
+              "non-numeric": "half", "missing": None},
+    "method": {"valid": "lsbm", "empty": "", "unknown": "rot13", "missing": None},
+    "methods": {"valid": "lsbm,lsbmr-imp", "empty": "", "unknown": "lsbm,rot13", "missing": None},
+    "traversal": {"valid": "permuted", "empty": "", "unknown": "spiral", "missing": None},
+    "image": {"valid": "{inputs}/stego.pgm", "truncated": "{inputs}/truncated.pgm",
+              "garbage": "{inputs}/garbage.pgm", "directory": "{inputs}/dir",
+              "missing path": "{inputs}/absent.pgm", "empty": "", "missing": None},
+    "payload": {"valid": "{inputs}/payload.bin", "huge": "{inputs}/big.bin",
+                "directory": "{inputs}/dir", "missing path": "{inputs}/absent.bin", "empty": "",
+                "missing": None},
+    "corpus": {"valid": "{inputs}/corpus", "non-PGM file": "{inputs}/corpus_bad",
+               "file": "{inputs}/stego.pgm", "no covers": "{inputs}/dir",
+               "missing path": "{inputs}/absent", "empty": "", "missing": None},
+    "out": {"valid": "{out}/result", "directory": "{out}", "missing directory": "{out}/no/result",
+            "empty": "", "missing": None},
+    "svg": {"valid": "{out}/plot.svg", "directory": "{out}", "missing directory": "{out}/no/plot",
+            "empty": "", "missing": None},
+}
+FLAGS = {
+    "embed": {"cover": "image", "payload": "payload", "method": "method", "out": "out",
+              "seed": "seed", "traversal": "traversal", "threshold": "threshold"},
+    "extract": {"stego": "image", "method": "method", "out": "out", "seed": "seed",
+                "traversal": "traversal", "threshold": "threshold"},
+    "glcm": {"image": "image", "offset": "offset", "out": "out"},
+    "features": {"image": "image", "out": "out"},
+    "bench": {"corpus": "corpus", "methods": "methods", "rates": "rates",
+              "threshold": "threshold", "seed": "seed", "out": "out", "svg": "svg"},
+    "gen-corpus": {"n": "n", "size": "size", "seed": "seed", "out": "out"},
+}
+ONE_LINE_ERROR = re.compile(r"(capacity|framing|format|error): [^\n]*\n")
+USAGE_ERROR = re.compile(r"usage: lsblab .*\nlsblab( [\w-]+)?: error: [^\n]*\n", re.S)
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    # a 16x16 cover that the valid extract flags (lsbm, seed 3, permuted) read back
+    cover = GrayImage(np.random.default_rng(22).integers(0, 256, (16, 16), dtype=np.uint8))
+    save_pgm(inputs / "stego.pgm", embed(cover, bytes_to_bits(b"hi"),
+                                         EmbedConfig("lsbm", seed=3, traversal="permuted")))
+    data = (inputs / "stego.pgm").read_bytes()
+    (inputs / "truncated.pgm").write_bytes(data[:len(data) // 2])
+    (inputs / "garbage.pgm").write_bytes(bytes(range(256)))
+    (inputs / "payload.bin").write_bytes(b"hi")
+    (inputs / "big.bin").write_bytes(bytes(100))  # 800 bits, more than 256 pixels carry
+    (inputs / "dir").mkdir()
+    assert run("gen-corpus", "--n", 20, "--size", "16x16", "--seed", 1,
+               "--out", inputs / "corpus") == 0
+    shutil.copytree(inputs / "corpus", inputs / "corpus_bad")
+    shutil.copy(inputs / "garbage.pgm", inputs / "corpus_bad" / "img_0007b.pgm")
+    return inputs
+
+
+def written(out):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_flags_and_files_exit_cleanly(tmp_path, cli_inputs, data):
+    # README's failure contract: exit 0, 1 with one categorized stderr line, or 2
+    # with argparse's usage; never a traceback. A success reruns to the same bytes
+    command = data.draw(st.sampled_from(sorted(FLAGS)), label="command")
+    # half the draws take the valid value, so that most runs get past argparse
+    kinds = {flag: data.draw(st.one_of(st.just("valid"), st.sampled_from(list(POOLS[pool]))),
+                             label=flag)
+             for flag, pool in FLAGS[command].items()}
+
+    def attempt():
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
+        argv = [command] + [f"--{flag}={value.format(inputs=cli_inputs, out=out)}"
+                            for flag, pool in FLAGS[command].items()
+                            if (value := POOLS[pool][kinds[flag]]) is not None]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as stop:
+                status = stop.code
+        return status, err.getvalue(), out
+
+    status, err, out = attempt()
+    if status == 0:
+        assert err == ""
+        assert written(attempt()[2]) == written(out)
+    elif status == 1:
+        assert ONE_LINE_ERROR.fullmatch(err), err
+    else:
+        assert status == 2 and USAGE_ERROR.fullmatch(err), (status, err)

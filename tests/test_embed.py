@@ -1,7 +1,6 @@
 import importlib
 import math
 import re
-import signal
 from dataclasses import replace
 from unittest import mock
 
@@ -631,17 +630,8 @@ def test_batch_runs_are_each_jobs_greedy_runs():
     jobs.insert(2, _job(carrier, carrier.pixels.ravel()[:40] & 1, EmbedConfig("lsbm"),
                         traversal_order(carrier, "raster", 0)))
     assert len(jobs[2][1]) == 0
-    def overrun(signum, frame):
-        raise TimeoutError("the run search did not stop at each job's end")
-
-    previous = signal.signal(signal.SIGALRM, overrun)
-    signal.alarm(30)
-    try:
-        with mock.patch.object(embed_module, "_runs", spy):
-            _settle(jobs, 4)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with mock.patch.object(embed_module, "_runs", spy):  # conftest's time limit bounds it
+        _settle(jobs, 4)
     (at, fi, around, _, ends, _), starts = found[0]
     want, begin = [], 0
     for end in ends:

@@ -16,7 +16,6 @@ from lsblab.harness import (
     _split_accuracy,
     accuracy,
     benchmark,
-    energy_experiment,
     report_csv,
     report_svg,
     synthetic_corpus,
@@ -126,36 +125,6 @@ def test_blur_equals_gaussian_filter_bitwise_at_512():
 # experiments
 
 
-def test_energy_constant_corpus_drops_e0():
-    corpus = [GrayImage(np.full((32, 32), 100, dtype=np.uint8)) for _ in range(3)]
-    res = energy_experiment(corpus, "lsbm", 0.5, seed=7)
-    for cover_e, stego_e in res:
-        assert cover_e[0] == 1.0
-        assert stego_e[0] < 1.0
-
-
-def test_energy_experiment_is_deterministic():
-    corpus = synthetic_corpus(4, 48, 48, seed=8)
-    a = energy_experiment(corpus, "lsbmr", 0.8, seed=9)
-    b = energy_experiment(corpus, "lsbmr", 0.8, seed=9)
-    for (ca, sa), (cb, sb) in zip(a, b):
-        assert np.array_equal(ca, cb) and np.array_equal(sa, sb)
-
-
-def test_energy_direction_on_natural_corpus():
-    corpus = synthetic_corpus(20, 64, 64, seed=10)
-    res = energy_experiment(corpus, "lsbm", 0.8, seed=11)
-    cover_mean = np.mean([c[0] for c, _ in res])
-    stego_mean = np.mean([s[0] for _, s in res])
-    assert stego_mean < cover_mean
-
-
-def test_energy_rejects_infeasible_rate():
-    corpus = [GrayImage(np.zeros((6, 6), dtype=np.uint8))]
-    with pytest.raises(CapacityError):
-        energy_experiment(corpus, "lsbm", 0.5, seed=0)  # 18-bit budget < frame
-
-
 def test_null_detection_is_exactly_chance():
     corpus = synthetic_corpus(100, 32, 32, seed=12)
     acc = benchmark(corpus, [None], [0.8], seed=13)[0].detect_pct
@@ -208,24 +177,35 @@ def test_benchmark_arity_and_determinism():
     assert report_csv(report) == report_csv(again)
 
 
+def test_benchmark_constant_corpus_drops_e0():
+    # a constant cover's pairs all fall in the main diagonal; embedding moves some off it
+    corpus = [GrayImage(np.full((32, 32), 100, dtype=np.uint8)) for _ in range(20)]
+    (row,) = benchmark(corpus, ["lsbm"], [0.5], seed=7)
+    assert row.cover_energies[0] == 1.0
+    assert row.stego_energies[0] < 1.0
+
+
+def cell_stegos(corpus, method, rate, threshold, seed):
+    """One benchmark cell's stegos, each image embedded alone through embed.
+
+    Child seeds use the harness's stream tags: 0 message, 1 embed.
+    """
+    return [embed(image, _message_bits(rate, image.n_pixels, derive_seed(seed, i, 0)),
+                  EmbedConfig(method, threshold, derive_seed(seed, i, 1), "permuted"))
+            for i, image in enumerate(corpus)]
+
+
 def reference_benchmark(corpus, methods, rates, threshold, seed):
     """The method-outer loop: every cell embeds every image from scratch through embed.
 
-    Child seeds use the harness's stream tags: 0 message, 1 embed, 2 split.
+    The train/test split uses the harness's stream tag 2.
     """
     cover_x = np.stack([band_features(image) for image in corpus])
     split = Rng(derive_seed(seed, 2)).shuffle(len(corpus))
     rows = []
     for method in methods:
         for rate in rates:
-            stegos = []
-            for i, image in enumerate(corpus):
-                if method is None:
-                    stegos.append(image)
-                    continue
-                bits = _message_bits(rate, image.n_pixels, derive_seed(seed, i, 0))
-                config = EmbedConfig(method, threshold, derive_seed(seed, i, 1), "permuted")
-                stegos.append(embed(image, bits, config))
+            stegos = corpus if method is None else cell_stegos(corpus, method, rate, threshold, seed)
             stego_x = np.stack([band_features(image) for image in stegos])
             rows.append(ReportRow(method, rate, threshold, seed, len(corpus),
                                   _mean_energies(cover_x).mean(axis=0),
