@@ -313,9 +313,11 @@ def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
             step[tie] = coins[nxt[0] : nxt[0] + len(tie)]
             nxt[0] += len(tie)
         else:  # the n-th tie of a job in this pass takes its n-th next coin
-            g, nxt = g[tie], np.array(nxt)
-            step[tie] = coins[nxt[g] + np.arange(len(tie)) - np.searchsorted(g, g)]
-            nxt = (nxt + np.bincount(g, minlength=len(nxt))).tolist()
+            per_job = np.bincount(g[tie], minlength=len(nxt))  # g is sorted: ties are job-major
+            nxt = np.array(nxt)
+            step[tie] = coins[np.repeat(nxt - np.cumsum(per_job) + per_job, per_job)
+                              + np.arange(len(tie))]
+            nxt = (nxt + per_job).tolist()
         if fb - fa < b - a:  # the pass has fixed changes; its free ones are overwritten next
             out[at[a:b]] = new[a:b]
         out[q] = c + step

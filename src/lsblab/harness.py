@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .bits import CapacityError, FRAME_BITS, frame_bits
 # embed is unused here, but perfbench/tracer.py's REQUIRED wraps lsblab.harness.embed
 from .embed import DEFAULT_THRESHOLD, EmbedConfig, _capacity, _job, _settle, _threshold, embed
-from .glcm import N_BANDS, band_features
+from .glcm import DEFAULT_OFFSETS, N_BANDS, band_features
 from .image import GrayImage, traversal_order
 from .rng import Rng, derive_seed
 
@@ -159,6 +158,17 @@ def _chunks(corpus: Sequence[GrayImage], jobs_per_cover: int) -> Iterator[range]
     yield range(lo, len(corpus))
 
 
+def _featurize(images: Sequence[GrayImage]) -> np.ndarray:
+    """band_features of each image, one stacked call per image shape."""
+    x = np.empty((len(images), len(DEFAULT_OFFSETS) * N_BANDS))
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for j, image in enumerate(images):
+        shapes.setdefault(image.pixels.shape, []).append(j)
+    for js in shapes.values():
+        x[js] = band_features(np.stack([images[j].pixels for j in js]))
+    return x
+
+
 def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
               rates: Sequence[float], threshold: int = DEFAULT_THRESHOLD,
               seed: int = 0) -> list[ReportRow]:
@@ -166,13 +176,17 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
 
     The work that depends only on an image is done once per call, not once
     per cell: its cover features, its keyed permutation (one shuffle, shared
-    by every method and rate) and its framed message at each rate (shared by
-    every method). A null cell reuses the cover features. The train/test
-    split is drawn once. The embedding cells that share a _settle threshold
-    settle together: chunk by chunk of covers, each chunk's images of all
-    those cells in one batch of at most _CHUNK_PIXELS job pixels, in which an
-    image's cells share one coin draw. Same bytes as cell by cell. Nothing
-    is kept between calls.
+    by every method and rate), its message (one draw at the largest rate,
+    whose prefixes are the smaller rates' messages) and its plan at each
+    rate for each code family (shared by the baseline and improved cells).
+    A null cell reuses the cover features. The train/test split is drawn
+    once. The embedding cells that share a _settle threshold settle
+    together: chunk by chunk of covers, each chunk's images of all those
+    cells in one batch of at most _CHUNK_PIXELS job pixels, in which an
+    image's cells share one coin draw. Features are taken per batch of
+    stegos and per _chunks(corpus, 1) run of covers, one band_features call
+    per image shape. Same bytes as cell by cell. Nothing is kept between
+    calls.
     """
     if len(corpus) < 20:
         raise ValueError(f"corpus of {len(corpus)} images is too small; need at least 20")
@@ -184,7 +198,8 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
         for image in corpus if method else ():
             budget = _budget(rate, image.n_pixels)
             _capacity(image, budget, EmbedConfig(method).method.startswith("lsbmr"))
-    cover_x = np.stack([band_features(image) for image in corpus])
+    cover_x = np.concatenate([_featurize([corpus[i] for i in chunk])
+                              for chunk in _chunks(corpus, 1)])
     stego_x = np.empty((len(cells),) + cover_x.shape)
     groups: dict[int, list[int]] = {}  # the embedding cells of each _settle threshold
     for c, (method, rate) in enumerate(cells):
@@ -193,22 +208,26 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
         else:
             groups.setdefault(_threshold(EmbedConfig(method, threshold)), []).append(c)
     for chunk in _chunks(corpus, max(map(len, groups.values()), default=0)):
-        orders, framed = {}, {}  # per image, and per rate: shared by every cell
+        # per image: its message and order; per image, rate and code family: its plan
+        drawn, jobs = {}, {}
         for t, group in groups.items():
-            jobs = []
+            batch = []
             for method, rate in (cells[c] for c in group):
-                if rate not in framed:
-                    framed[rate] = [frame_bits(_message_bits(rate, corpus[i].n_pixels,
-                                                             derive_seed(seed, i, _TAG_MESSAGE)))
-                                    for i in chunk]
-                for i, bits in zip(chunk, framed[rate]):
-                    config = EmbedConfig(method, threshold, derive_seed(seed, i, _TAG_EMBED),
-                                         "permuted")
-                    if i not in orders:
-                        orders[i] = traversal_order(corpus[i], config.traversal, config.seed)
-                    jobs.append(_job(corpus[i], bits, config, orders[i]))
-            for (c, i), stego in zip(product(group, chunk), _settle(jobs, t)):
-                stego_x[c, i] = band_features(stego)
+                for i in chunk:
+                    key = (i, rate, method.startswith("lsbmr"))
+                    if key not in jobs:
+                        config = EmbedConfig(method, threshold, derive_seed(seed, i, _TAG_EMBED),
+                                             "permuted")
+                        if i not in drawn:  # one draw at the top rate: bits(n) is a prefix of bits(m)
+                            drawn[i] = (_message_bits(max(rates), corpus[i].n_pixels,
+                                                      derive_seed(seed, i, _TAG_MESSAGE)),
+                                        traversal_order(corpus[i], config.traversal, config.seed))
+                        message, order = drawn[i]
+                        framed = frame_bits(message[: _budget(rate, corpus[i].n_pixels) - FRAME_BITS])
+                        jobs[key] = _job(corpus[i], framed, config, order)
+                    batch.append(jobs[key])
+            stego_x[group, chunk.start : chunk.stop] = (
+                _featurize(_settle(batch, t)).reshape(len(group), len(chunk), -1))
     cover_e = _mean_energies(cover_x).mean(axis=0)
     split = Rng(derive_seed(seed, _TAG_SPLIT)).shuffle(len(corpus))
     return [ReportRow(method, rate, threshold, seed, len(corpus), cover_e,

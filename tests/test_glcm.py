@@ -150,6 +150,32 @@ def test_band_energies_match_matrix_oracle(data):
             assert np.array_equal(band_energies(img, offset), diagonal_energies(counts))
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_band_features_of_a_stack_match_matrix_oracle(data):
+    # row j of a stack's features is raster j's matrix diagonals at every default
+    # offset; values run up to both ends of 0..255, so a wrapped uint8 |a - b| shows
+    w = data.draw(st.integers(1, 12), label="w")
+    h = data.draw(st.integers(1, 12), label="h")
+    k = data.draw(st.integers(1, 4), label="k")
+    spread = data.draw(st.sampled_from([3, 8, 256]), label="spread")
+    base = data.draw(st.sampled_from([0, 256 - spread]) | st.integers(0, 256 - spread), label="base")
+    raster = data.draw(st.lists(st.integers(0, spread - 1), min_size=k * w * h, max_size=k * w * h))
+    stack = np.array(raster, dtype=np.uint8).reshape(k, h, w) + np.uint8(base)
+    if w == 1 or h == 1:
+        for images in (stack, GrayImage(stack[0])):
+            with pytest.raises(ValueError, match="no in-bounds pixel pairs"):
+                band_features(images)
+        return
+    rows = band_features(stack)
+    assert rows.shape == (k, 20)
+    for row, pixels in zip(rows, stack):
+        img = GrayImage(pixels)
+        expected = np.concatenate([diagonal_energies(cooccurrence(img, off)) for off in DEFAULT_OFFSETS])
+        assert np.array_equal(row, expected)
+        assert np.array_equal(band_features(img), expected)
+
+
 def test_band_features_single_offset():
     # each 5-band block is one default offset's matrix diagonals, in order
     gen = np.random.default_rng(4)

@@ -298,9 +298,13 @@ def test_benchmark_unknown_method_raises_before_a_later_cells_capacity_error():
 @pytest.mark.parametrize("methods, rates, non_null_cells", [
     ([None, "lsbm", "lsbmr_improved"], [0.4, 0.8, 0.4], 6),
     ([None], [0.5, 0.9], 0),
+    ([None, "lsbm", "lsbm_improved", "lsbmr_improved"], [0.4, 0.8, 0.4], 9),
 ])
 def test_benchmark_shuffles_once_per_image(monkeypatch, methods, rates, non_null_cells):
-    calls = {"shuffle": 0, "band_features": 0}
+    # each image is shuffled, drawn a message and featurized once, and planned once
+    # per rate and code family, whatever the cells that share the work
+    calls = {"shuffle": 0, "_job": 0, "_message_bits": 0}
+    stacks = []  # (images, pixels) of each band_features call
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -308,14 +312,26 @@ def test_benchmark_shuffles_once_per_image(monkeypatch, methods, rates, non_null
             return fn(*args, **kwargs)
         return wrapper
 
+    def features(images):
+        pixels = images.pixels[None] if isinstance(images, GrayImage) else images
+        stacks.append((len(pixels), pixels.size))
+        return band_features(images)
+
     monkeypatch.setattr(Rng, "shuffle", counted("shuffle", Rng.shuffle))
-    monkeypatch.setattr(lsblab.harness, "band_features",
-                        counted("band_features", lsblab.harness.band_features))
+    for name in ("_job", "_message_bits"):
+        monkeypatch.setattr(lsblab.harness, name, counted(name, getattr(lsblab.harness, name)))
+    monkeypatch.setattr(lsblab.harness, "band_features", features)
+    # a budget of a few covers' jobs: the covers and the stegos take several calls each
+    monkeypatch.setattr(lsblab.harness, "_CHUNK_PIXELS", 4000)
     n = 20
     benchmark(synthetic_corpus(n, 16, 16, seed=23), methods, rates, seed=24)
     # one permutation per image when any cell embeds, plus the train/test split
     assert calls["shuffle"] == (n + 1 if non_null_cells else 1)
-    assert calls["band_features"] == n * (1 + non_null_cells)
+    assert sum(k for k, _ in stacks) == n * (1 + non_null_cells)
+    assert max(size for _, size in stacks) <= 4000
+    families = {method.startswith("lsbmr") for method in methods if method}
+    assert calls["_job"] == n * len(set(rates)) * len(families)
+    assert calls["_message_bits"] == (n if non_null_cells else 0)
 
 
 @pytest.mark.parametrize("methods", [[None], [None, "lsbm"]])
