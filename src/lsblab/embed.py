@@ -34,6 +34,10 @@ Each raster has a one-pixel border of -1024, so the vote reads eight fixed
 offsets with no bounds checks and never across stacked rasters. T is capped
 at 256: real neighbors differ by at most 255, so every T >= 256 admits all
 of them and no border pixel.
+
+Stack positions are int32 (a stack holds fewer than 2**31 pixels); |score|
+<= 8 pulls + 16 of saturation bias + a swing of 2, so pulls, scores, steps
+and coins are int8; the run search gathers a block of free changes at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 
 from .bits import FRAME_BITS, CapacityError, FramingError, frame_bits, frame_length
 from .image import GrayImage, traversal_order
-from .rng import Rng
+from .rng import _BLOCK, Rng
 
 METHODS = ("lsbm", "lsbmr", "lsbm_improved", "lsbmr_improved")
 TRAVERSALS = ("raster", "permuted")
@@ -86,6 +90,8 @@ _BORDER = -1024  # differs from every pixel value 0..255 by at least 1024
 def _stack(covers: Sequence[GrayImage]) -> np.ndarray:
     """The covers as int16 blocks of one shape, bordered by _BORDER and padded to the largest."""
     h, w = max(cover.height for cover in covers) + 2, max(cover.width for cover in covers) + 2
+    if len(covers) * h * w >= 2**31:  # _settle's positions are int32
+        raise ValueError(f"{len(covers)} blocks of {w}x{h} pixels exceed one settle's 2**31")
     stack = np.full((len(covers), h, w), _BORDER, dtype=np.int16)
     for block, cover in zip(stack, covers):
         block[1 : cover.height + 1, 1 : cover.width + 1] = cover.pixels
@@ -93,8 +99,8 @@ def _stack(covers: Sequence[GrayImage]) -> np.ndarray:
 
 
 def _coins(seed: int, n: int) -> np.ndarray:
-    """The first n coin steps of a seed's coin stream: +1 for a 1 bit, -1 for a 0."""
-    return Rng(seed).bits(n).astype(np.int8) * 2 - 1
+    """The first n coin steps of a seed's coin stream, as int8: +1 for a 1 bit, -1 for a 0."""
+    return Rng(seed).bits(n).view(np.int8) * 2 - 1
 
 
 _FREE = -1  # plan marker: the pixel takes a free ±1 step
@@ -170,27 +176,31 @@ def _threshold(config: EmbedConfig) -> int:
     return min(config.threshold, 256) if config.method.endswith("_improved") else 0
 
 
-def _runs(at: np.ndarray, fi: np.ndarray, around: np.ndarray, size: int, ends: list,
-          fq: np.ndarray) -> list[int]:
+def _runs(at: np.ndarray, fi: np.ndarray, around: np.ndarray, size: int, ends: list) -> list[int]:
     """Where each run of the changes at `at` starts, then len(at); job g's changes end at ends[g].
 
-    fi are the free changes' indices into at, and fq = at[fi] their positions.
-    A job's first change starts a run, and so does a free change that
-    neighbors a change of the current run other than the one planned just
-    before it. around are the eight offsets a vote reads at T > 1, in a raster
-    of `size` pixels. The jobs' runs are found in lockstep: each step finds the next start of
-    every job at once, so a batch takes as many steps as its most runs.
+    fi are the free changes' indices into at. A job's first change starts a
+    run, and so does a free change that neighbors a change of the current run
+    other than the one planned just before it. around are the eight offsets a
+    vote reads at T > 1, in a raster of `size` pixels; they are read a block of
+    free changes at a time. The jobs' runs are found in lockstep: each step
+    finds the next start of every job at once, so a batch takes as many steps
+    as its most runs.
     """
     dep = np.full(len(fi), -1, dtype=np.int32)  # latest earlier neighboring change but i - 1
     visit = np.full(size, -1, dtype=np.int32)
     visit[at] = np.arange(len(at), dtype=np.int32)
-    # each offset reads visit shifted by it, at q: intp, which take need not cast
-    low, last, q = -int(around.min()), fi - 1, fq.astype(np.intp)
-    q -= low
-    for offset in around.tolist():
-        seen = visit[low + offset :].take(q)
-        np.maximum(dep, np.where(seen < last, seen, -1), out=dep)
-    reach = np.maximum.accumulate(dep)  # sorted: the first dep >= s reads the run at s
+    low = -int(around.min())
+    for a in range(0, len(fi), _BLOCK):  # block by block, so no temporary scales with fi
+        # each offset reads visit shifted by it, at q: intp, which take need not cast
+        last, d = fi[a : a + _BLOCK] - 1, dep[a : a + _BLOCK]
+        q = at[fi[a : a + _BLOCK]].astype(np.intp)
+        q -= low
+        for offset in around.tolist():
+            seen = visit[low + offset :].take(q)
+            np.maximum(d, np.where(seen < last, seen, -1), out=d)  # np.maximum(where=) is slower
+    del visit
+    reach = np.maximum.accumulate(dep, out=dep)  # sorted: the first dep >= s reads the run at s
     after = np.concatenate((fi, [len(at)]), dtype=np.int32)  # the change a search finds, or the end
     stop = np.array(ends, dtype=np.int32)
     # each job's first change, then its next run start: an earlier job's deps all
@@ -213,8 +223,8 @@ def _pull(d: np.ndarray, t: int) -> np.ndarray:
 
 
 def _pulls(t: int) -> np.ndarray:
-    """_pull(d, t) at index d + 256, for every d = c - n a vote meets: n is _BORDER or -1..256."""
-    return _pull(np.arange(-256, 1280, dtype=np.int16), t)
+    """_pull(d, t) as int8, at d + 256 for every d = c - n a vote meets: n is _BORDER or -1..256."""
+    return _pull(np.arange(-256, 1280, dtype=np.int16), t).astype(np.int8)
 
 
 def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
@@ -230,7 +240,7 @@ def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
     predecessor's step, and one scan per job settles those whose predecessor's
     step decides. At T <= 1 every job is one run, so one pass settles them all.
     Cover values, free changes, swings and pass bounds are fixed for the call
-    (see the module docstring): found once.
+    (see the module docstring): found once. Each temporary goes after its last use.
     """
     stack = _stack([cover for cover, *_ in jobs])
     stride, block = stack.shape[2], stack[0].size  # job g's block starts at g * block
@@ -239,9 +249,7 @@ def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
     at = np.concatenate([p + (stride - cover.width) * (p // cover.width) + g * block + stride + 1
                          for g, (cover, p, _, _) in enumerate(jobs)], dtype=np.int32)
     new = np.concatenate([n for _, _, n, _ in jobs])
-    free = new == _FREE
-    fi = np.flatnonzero(free).astype(np.int32)
-    fq = at[fi]
+    fi = np.flatnonzero(new == _FREE).astype(np.int32)
     # each job's next coin, then the coin count (int32 keys: wider ones copy fi to int64)
     nxt = np.searchsorted(fi, np.array([0] + ends, dtype=np.int32)).tolist()
     most = {}  # jobs of one seed slice one draw: bits(n) is a prefix of bits(m)
@@ -249,41 +257,49 @@ def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
         most[seed] = max(most.get(seed, 0), b - a)
     drawn = {seed: _coins(seed, n) for seed, n in most.items()}
     coins = np.concatenate([drawn[seed][: b - a] for (*_, seed), a, b in zip(jobs, nxt, nxt[1:])])
+    del drawn
     around = np.array([-stride - 1, -stride, -stride + 1, -1, 1, stride - 1, stride, stride + 1]
                       if t > 1 else [], dtype=np.int32)  # at T <= 1 every vote ties
     linked = np.zeros(len(at), dtype=bool)  # a free change next to the change before it
     starts = [0, len(at)]  # at T <= 1 every job is one run, so one pass settles them all
     if t > 1:  # neighbors sit 1, stride - 1, stride or stride + 1 apart
         gap = np.abs(np.diff(at))
-        linked[1:] = free[1:] & ((gap == 1) | (np.abs(gap - stride) <= 1))
-        starts = _runs(at, fi, around, len(out), ends, fq)
+        linked[1:] = (new[1:] == _FREE) & ((gap == 1) | (np.abs(gap - stride) <= 1))
+        del gap
+        starts = _runs(at, fi, around, len(out), ends)
         # each run votes on the raster as it stood before the run, then writes. A
         # chained change neighbors the change planned just before it, in its run:
         # its vote takes that change's new value, or both candidates if it is free
         linked[starts[:-1]] = False  # a run's first change reads its predecessor as written
-        if len(jobs) > 1:  # number each change's run in its job; pass r is then one slice, job-major
-            run = np.repeat(np.arange(len(starts) - 1, dtype=np.int32), np.diff(starts))
-            run -= np.repeat(np.searchsorted(starts, [0] + ends[:-1]), np.diff([0] + ends))
-            order = np.argsort(run, kind="stable")
+        if len(jobs) > 1:  # pass r is run r of every job, job-major: order the runs by number
+            bounds = np.array(starts, dtype=np.int32)
+            first = np.searchsorted(starts, [0] + ends[:-1])  # each job's first run
+            job = np.arange(len(jobs)).repeat(np.diff(first, append=len(starts) - 1))
+            run = np.arange(len(job)) - first[job]  # each run's number in its job
+            seg = np.argsort(run, kind="stable")  # the runs in pass order: a few per job
+            size = np.diff(bounds)[seg]  # each change's new place follows from its run's, in int32
+            order = np.repeat(bounds[seg] - np.cumsum(size, dtype=np.int32) + size, size)
+            order += np.arange(len(at), dtype=np.int32)
             at, new, linked = at[order], new[order], linked[order]
             fi = np.flatnonzero(new == _FREE).astype(np.int32)
-            fq = at[fi]
-            starts = [0] + np.cumsum(np.bincount(run)).tolist()  # where each pass starts
+            starts = [0] + np.bincount(run, np.diff(bounds)).cumsum().astype(int).tolist()
     # pass r's free changes are fi[fs[r]:fs[r + 1]], its chained ones li[cs[r]:cs[r + 1]]
-    li, pulls = np.flatnonzero(linked).astype(np.int32), _pulls(t)
+    fq, li, pulls = at[fi], np.flatnonzero(linked).astype(np.int32), _pulls(t)
     bounds = np.array(starts, dtype=np.int32)  # int32 keys, as for nxt
     fs, cs = np.searchsorted(fi, bounds).tolist(), np.searchsorted(li, bounds).tolist()
     fc, cc, was, known = out[fq], out[at[li]], out[at[li - 1]], new[li - 1]  # li - 1: predecessors
-    bias = np.zeros(len(fc), dtype=np.int16)  # saturated pixels step inward: eight pulls
+    bias = np.zeros(len(fc), dtype=np.int8)  # saturated pixels step inward: eight pulls
     bias[fc == 0], bias[fc == 255] = -16, 16  # and a swing never outweigh 16
     steps = np.array([[-1], [1]], dtype=np.int16)  # a free predecessor's two steps
     after = np.where(known == _FREE, was + steps, known)  # fixed, or after -1 and +1
     swing = pulls[cc - after + 256] - pulls[cc - was + 256]  # its pull after, less as it stood
+    del cc, was, known, after
     # the chained ones among the free; intp, as numpy casts an int32 index at each use
     ci = np.flatnonzero(linked[fi]) if len(li) else li
+    del linked
     for a, b, fa, fb, ca, cb in zip(starts, starts[1:], fs, fs[1:], cs, cs[1:]):
         q, c = fq[fa:fb], fc[fa:fb]
-        score = pulls.take(c + 256 - out.take(q + around[:, None])).sum(axis=0) + bias[fa:fb]
+        score = pulls.take(c + 256 - out.take(q + around[:, None])).sum(0, np.int8) + bias[fa:fb]
         step, tie = -np.sign(score), score == 0
         g = q // block if len(jobs) > 1 else None  # each free change's job
         if ca < cb:
@@ -308,11 +324,12 @@ def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
                             s[j], tie[j] = flips[before[j] + extra], True
                             extra += 1
                 step[js] = [s[j] for j in js]
-        tie = tie.nonzero()[0]
-        if g is None:  # the one job's next coins
-            step[tie] = coins[nxt[0] : nxt[0] + len(tie)]
-            nxt[0] += len(tie)
+        if g is None:  # the one job's next coins, in mask order
+            ties = np.count_nonzero(tie)
+            step[tie] = coins[nxt[0] : nxt[0] + ties]
+            nxt[0] += ties
         else:  # the n-th tie of a job in this pass takes its n-th next coin
+            tie = tie.nonzero()[0]
             per_job = np.bincount(g[tie], minlength=len(nxt))  # g is sorted: ties are job-major
             nxt = np.array(nxt)
             step[tie] = coins[np.repeat(nxt - np.cumsum(per_job) + per_job, per_job)

@@ -5,7 +5,7 @@ Mersenne Twister, in exactly the order and the way the stdlib would, but on
 whole arrays of words at once:
 
 - bits(n) gives what n successive getrandbits(1) calls return: the top bit
-  of each word;
+  of each word, drawn _BLOCK words at a time into one uint8 array;
 - shuffle(n) gives the order random.Random(seed).shuffle leaves
   list(range(n)) in. Its randrange(m) draws take the top m.bit_length()
   bits of a word and draw again while those are >= m. Most words of a window
@@ -26,6 +26,7 @@ _MASK64 = (1 << 64) - 1
 
 _WINDOW = 4096  # the most words the draws read at once
 _TAIL = 1024  # the last, smallest draws of a shuffle are taken one by one
+_BLOCK = 1 << 13  # the most words bits draws, or int32 indices a take casts to intp, at once
 
 
 class Rng:
@@ -46,7 +47,10 @@ class Rng:
 
     def bits(self, n: int) -> np.ndarray:
         """n fair bits (uint8): successive getrandbits(1) values."""
-        return (self._words(n) >> 31).astype(np.uint8)
+        bits = np.empty(n, dtype=np.uint8)
+        for a in range(0, n, _BLOCK):  # words(a) then words(b) are words(a + b)
+            bits[a : a + _BLOCK] = self._words(min(_BLOCK, n - a)) >> 31
+        return bits
 
     def shuffle(self, n: int) -> np.ndarray:
         """Fisher-Yates order of range(n) as int32, equal to the stdlib's shuffle.
@@ -57,7 +61,7 @@ class Rng:
         """
         if n < 2:
             return np.arange(n, dtype=np.int32)
-        partner = np.zeros(n, dtype=np.int32)  # partner[i] = j_i; slot 0 reads itself
+        partner = np.zeros(n, dtype="<i8")  # partner[i] = j_i; slot 0 reads itself
         partner[1:] = self._draws(n)[::-1]
         return _apply_swaps(partner)
 
@@ -124,18 +128,19 @@ def _apply_swaps(partner: np.ndarray) -> np.ndarray:
 
     One in-place sort of the packed keys partner << 32 | step groups the steps
     by partner slot, each group in ascending step order; the packing is exact
-    because every step and partner is below n < 2**31. The result is then read
-    off in that group order: a step's link is the next step of its group.
+    because every step and partner is below n < 2**31. partner ("<i8") holds
+    the keys, then their steps and after them their partner slots, in that
+    group order: a step's link is the next step of its group.
     """
     n = len(partner)
-    key = partner.astype(np.int64)
-    key <<= 32
-    key |= np.arange(n, dtype=np.int32)
-    key.sort()
-    steps, grouped = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
-    np.bitwise_and(key, 0xFFFFFFFF, out=steps, casting="unsafe")
-    np.right_shift(key, 32, out=grouped, casting="unsafe")
-    del key  # it, and first below, would otherwise outlive the jumping rounds' copies
+    partner <<= 32
+    partner |= np.arange(n, dtype=np.int32)
+    partner.sort()
+    halves = partner.view("<i4")  # each key's step, then its partner slot
+    grouped = halves[1::2].copy()
+    halves[:n] = halves[0::2]
+    halves[n:] = grouped
+    steps, grouped = halves[:n], halves[n:]
     head = np.ones(n, dtype=bool)
     np.not_equal(grouped[1:], grouped[:-1], out=head[1:])
     # writer[p]: the last step before step p that wrote slot p (the head of p's group),
@@ -144,22 +149,24 @@ def _apply_swaps(partner: np.ndarray) -> np.ndarray:
     writer = np.arange(n, dtype=np.int32)
     first = np.flatnonzero(head)
     writer[grouped.take(first)] = steps.take(first)
-    del first
+    del first, head
     # pointer jumping: writer[p] becomes the slot whose own index slot p holds before step p.
-    # Every index is in range, so "clip" changes none; it skips take's bounds check
+    # Every index is in range, so "clip" changes none: it skips take's bounds check and
+    # the buffered out= copy "raise" makes, and each block's intp index copy is small
     while True:
-        jumped = writer.take(writer, mode="clip")
+        jumped = np.empty(n, dtype=np.int32)
+        for a in range(0, n, _BLOCK):
+            writer.take(writer[a : a + _BLOCK], out=jumped[a : a + _BLOCK], mode="clip")
         if np.array_equal(jumped, writer):
             break
         writer = jumped
+    del jumped
     # sorted place k reads the write of the next step in its group, if any; else its
-    # slot was not written before its step and still holds its own index
-    vals = np.empty(n, dtype=np.int32)
-    vals[:-1] = writer[steps[1:]]  # take(out=) would buffer it and copy steps to intp
-    np.copyto(vals[:-1], grouped[:-1], where=head[1:])
-    vals[-1] = grouped[-1]
+    # slot was not written before its step and still holds its own index, grouped[k]
+    np.copyto(grouped[:-1], writer[steps[1:]], where=grouped[1:] == grouped[:-1])
+    del writer
     out = np.empty(n, dtype=np.int32)
-    out[steps] = vals
+    out[steps] = grouped
     return out
 
 

@@ -18,6 +18,7 @@ from lsblab.embed import (
     _pull,
     _pulls,
     _settle,
+    _stack,
     embed,
     extract,
     f_pair,
@@ -535,6 +536,21 @@ def test_saturated_change_chained_after_the_opposite_saturated_value(threshold):
     assert embed(cover, bits, cfg).pixels.tolist() == reference_embed(cover, bits, cfg)
 
 
+@pytest.mark.parametrize("traversal", ["raster", "permuted"])
+@pytest.mark.parametrize("method", ["lsbm_improved", "lsbmr_improved"])
+@pytest.mark.parametrize("threshold", [2, 4, 256])
+@pytest.mark.parametrize("pattern", ["checkerboard", "stripes"])
+def test_saturated_patterns_match_reference(pattern, threshold, method, traversal):
+    # every cover pixel is 0 or 255, so each free step carries the saturation bias
+    # of 16; at T = 256 all eight neighbors pull as well, and the int8 score (a
+    # chained one with its predecessor's swing) reaches 24 in magnitude, its most
+    y, x = np.mgrid[:20, :24]
+    cover = GrayImage(255 * ((x + y) % 2 if pattern == "checkerboard" else x % 2).astype(np.uint8))
+    bits = Rng(threshold).bits(cover.n_pixels - 32).tolist()
+    cfg = EmbedConfig(method=method, threshold=threshold, seed=51, traversal=traversal)
+    assert embed(cover, bits, cfg).pixels.tolist() == reference_embed(cover, bits, cfg)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_batch_settles_each_job_as_alone(data):
@@ -632,7 +648,7 @@ def test_batch_runs_are_each_jobs_greedy_runs():
     assert len(jobs[2][1]) == 0
     with mock.patch.object(embed_module, "_runs", spy):  # conftest's time limit bounds it
         _settle(jobs, 4)
-    (at, fi, around, _, ends, _), starts = found[0]
+    (at, fi, around, _, ends), starts = found[0]
     want, begin = [], 0
     for end in ends:
         mine = fi[(fi >= begin) & (fi < end)] - begin
@@ -674,6 +690,28 @@ def stdlib_read(values, order, family):
 
 # ---------------------------------------------------------------------------
 # capacity and framing errors
+
+
+class Shape:
+    """A stand-in cover: a height and a width, with no raster behind them."""
+
+    def __init__(self, height, width):
+        self.height, self.width = height, width
+
+
+def test_settle_rejects_stacks_past_int32_positions():
+    # _settle addresses the bordered stack by int32 positions, so a stack of 2**31
+    # pixels or more is refused before anything is allocated: one 46341x46341
+    # bordered block, or a chunk of two 32768x32768 ones
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        _settle([(Shape(46339, 46339), np.zeros(0, np.int32), np.zeros(0, np.int16), 0)], 4)
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        _stack([Shape(32766, 32766), Shape(1, 1)])
+    # one bordered row fewer, 2**31 - 2**16 pixels, goes on to allocate the stack
+    with mock.patch.object(np, "full", side_effect=MemoryError("allocated")) as full:
+        with pytest.raises(MemoryError, match="allocated"):
+            _stack([Shape(32766, 32765), Shape(1, 1)])
+    assert full.call_args.args[0] == (2, 32768, 32767)
 
 
 def test_capacity_error_when_message_too_long():

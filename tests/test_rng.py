@@ -2,10 +2,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lsblab.embed import _coins
-from lsblab.rng import Rng, _apply_swaps, derive_seed
+from lsblab.rng import _BLOCK, Rng, _apply_swaps, derive_seed
 
 
 def test_equal_seeds_equal_streams():
@@ -132,8 +132,16 @@ def test_shuffle_reads_only_the_words_the_stdlib_reads(n):
         assert rng._random.words == reference.words, (n, seed)
 
 
+# bits draws _BLOCK words at a time: sizes at and around the window edges
+BLOCK_EDGES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(0, 3000), seed=SEEDS)
+@example(n=BLOCK_EDGES[0], seed=0)
+@example(n=BLOCK_EDGES[1], seed=MASK64)
+@example(n=BLOCK_EDGES[2], seed=3)
+@example(n=BLOCK_EDGES[3], seed=2**70 - 1)
 def test_bits_are_successive_getrandbits(n, seed):
     reference = random.Random(seed & MASK64)
     assert Rng(seed).bits(n).tolist() == [reference.getrandbits(1) for _ in range(n)]
@@ -145,6 +153,9 @@ CALLS = st.tuples(st.sampled_from(["bits", "shuffle"]),
 
 @settings(max_examples=60, deadline=None)
 @given(calls=st.lists(CALLS, min_size=1, max_size=5), seed=SEEDS)
+@example(calls=[("bits", n) for n in BLOCK_EDGES], seed=7)
+@example(calls=[("bits", BLOCK_EDGES[3]), ("shuffle", 1027), ("bits", BLOCK_EDGES[0]),
+                ("shuffle", 300), ("bits", BLOCK_EDGES[2])], seed=MASK64)
 def test_stream_continues_where_the_stdlib_would(calls, seed):
     # after every call the generator sits where the stdlib's does after the same calls
     rng, reference = Rng(seed), random.Random(seed & MASK64)
@@ -172,7 +183,7 @@ def swapped(partner):
 
 
 def check_swaps(partner):
-    out = _apply_swaps(np.array(partner, dtype=np.int32))
+    out = _apply_swaps(np.array(partner, dtype="<i8"))
     assert out.dtype == np.int32
     assert out.tolist() == swapped(partner)
 
@@ -195,10 +206,11 @@ def test_apply_swaps_matches_swap_loop(runs):
     check_swaps(partner)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 1000, 3000])
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 3000, 2 * _BLOCK + 3])
 @pytest.mark.parametrize("kind", ["zero", "self", "chain"])
 def test_apply_swaps_fixed_partners(kind, n):
-    # chain: partner[i] = i - 1, whose pointer jumping takes about log2 n rounds
+    # chain: partner[i] = i - 1, whose pointer jumping takes about log2 n rounds;
+    # past 2 * _BLOCK its links cross the blocks each jumping round reads
     partner = {"zero": [0] * n, "self": list(range(n)),
                "chain": [max(i - 1, 0) for i in range(n)]}[kind]
     check_swaps(partner)
