@@ -25,8 +25,9 @@ change's new value: a fixed one, or whichever of a free step's -1 and +1
 one scan in visiting order finds taken. So a raster-order run is about one
 image row. At T <= 1 every vote ties: the baselines (T = 0) are one run.
 Plans of several covers (a benchmark chunk's images, in every cell of one
-threshold) settle together, run r of each in pass r, with each plan's own
-coins: the same bytes as one by one.
+threshold) settle together, with each plan's own coins: the same bytes as
+one by one. The run search finds run r of every plan at step r: row r of its
+grid of run starts, a column per plan, is pass r, job-major.
 Each pixel is written once, by its own change, so only the neighbor gather
 reads what earlier runs wrote; the rest of every vote is known up front.
 
@@ -176,16 +177,16 @@ def _threshold(config: EmbedConfig) -> int:
     return min(config.threshold, 256) if config.method.endswith("_improved") else 0
 
 
-def _runs(at: np.ndarray, fi: np.ndarray, around: np.ndarray, size: int, ends: list) -> list[int]:
-    """Where each run of the changes at `at` starts, then len(at); job g's changes end at ends[g].
+def _runs(at: np.ndarray, fi: np.ndarray, around: np.ndarray, size: int, ends: list) -> np.ndarray:
+    """Each job's run starts in the changes at `at`, a column each; job g's changes end at ends[g].
 
     fi are the free changes' indices into at. A job's first change starts a
     run, and so does a free change that neighbors a change of the current run
     other than the one planned just before it. around are the eight offsets a
     vote reads at T > 1, in a raster of `size` pixels; they are read a block of
-    free changes at a time. The jobs' runs are found in lockstep: each step
-    finds the next start of every job at once, so a batch takes as many steps
-    as its most runs.
+    free changes at a time. The jobs' runs are found in lockstep: int32 row r
+    holds run r's start of every job (pass r, job-major), or ends[g] once job
+    g has no run r, so a batch takes as many rows as its most runs, then ends.
     """
     dep = np.full(len(fi), -1, dtype=np.int32)  # latest earlier neighboring change but i - 1
     visit = np.full(size, -1, dtype=np.int32)
@@ -205,12 +206,10 @@ def _runs(at: np.ndarray, fi: np.ndarray, around: np.ndarray, size: int, ends: l
     stop = np.array(ends, dtype=np.int32)
     # each job's first change, then its next run start: an earlier job's deps all
     # sit before this job's first change, so a search from it finds this job's own
-    cur = np.array([0] + ends[:-1], dtype=np.int32)
-    found = []
-    while (now := cur.tolist()) != ends:  # a job at its end stays there
-        found += now
-        cur = np.minimum(after.take(reach.searchsorted(cur)), stop)
-    return sorted(set(found + ends))  # each end starts the next job's first run, or is len(at)
+    grid = [np.array([0] + ends[:-1], dtype=np.int32)]
+    while grid[-1].tolist() < ends:  # a job short of its end (none is past it, so list order tells)
+        grid.append(np.minimum(after.take(reach.searchsorted(grid[-1])), stop))
+    return np.array(grid)
 
 
 def _pull(d: np.ndarray, t: int) -> np.ndarray:
@@ -235,7 +234,7 @@ def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
     saturated pixel steps inward, the vote (its neighbors' summed _pull) takes
     the step with the smaller sum, and a tie or an empty mask takes its job's
     next coin; the jobs of one seed read one draw, as long as the hungriest
-    needs. Pass r settles run r (see _runs) of every job: one gather reads
+    needs. Pass r settles _runs' grid row r, job-major: one gather reads
     what earlier passes wrote, chained changes add the swing of their
     predecessor's step, and one scan per job settles those whose predecessor's
     step decides. At T <= 1 every job is one run, so one pass settles them all.
@@ -266,23 +265,19 @@ def _settle(jobs: Sequence[tuple], t: int) -> list[GrayImage]:
         gap = np.abs(np.diff(at))
         linked[1:] = (new[1:] == _FREE) & ((gap == 1) | (np.abs(gap - stride) <= 1))
         del gap
-        starts = _runs(at, fi, around, len(out), ends)
+        grid = _runs(at, fi, around, len(out), ends)
+        size = np.diff(grid, axis=0)  # each job's run r, or 0 once it has no run r
         # each run votes on the raster as it stood before the run, then writes. A
         # chained change neighbors the change planned just before it, in its run:
         # its vote takes that change's new value, or both candidates if it is free
-        linked[starts[:-1]] = False  # a run's first change reads its predecessor as written
-        if len(jobs) > 1:  # pass r is run r of every job, job-major: order the runs by number
-            bounds = np.array(starts, dtype=np.int32)
-            first = np.searchsorted(starts, [0] + ends[:-1])  # each job's first run
-            job = np.arange(len(jobs)).repeat(np.diff(first, append=len(starts) - 1))
-            run = np.arange(len(job)) - first[job]  # each run's number in its job
-            seg = np.argsort(run, kind="stable")  # the runs in pass order: a few per job
-            size = np.diff(bounds)[seg]  # each change's new place follows from its run's, in int32
-            order = np.repeat(bounds[seg] - np.cumsum(size, dtype=np.int32) + size, size)
+        linked[grid[:-1][size > 0]] = False  # a run's first change reads its predecessor as written
+        starts = [0] + size.sum(1).cumsum().tolist()  # pass r is row r's runs, job-major
+        if len(jobs) > 1:  # gather the runs into pass order: each change follows its run
+            size = size.ravel()
+            order = np.repeat(grid[:-1].ravel() - np.cumsum(size, dtype=np.int32) + size, size)
             order += np.arange(len(at), dtype=np.int32)
             at, new, linked = at[order], new[order], linked[order]
             fi = np.flatnonzero(new == _FREE).astype(np.int32)
-            starts = [0] + np.bincount(run, np.diff(bounds)).cumsum().astype(int).tolist()
     # pass r's free changes are fi[fs[r]:fs[r + 1]], its chained ones li[cs[r]:cs[r + 1]]
     fq, li, pulls = at[fi], np.flatnonzero(linked).astype(np.int32), _pulls(t)
     bounds = np.array(starts, dtype=np.int32)  # int32 keys, as for nxt

@@ -6,8 +6,8 @@ sits at (x, y) while gray level j sits at (x+dx, y+dy). Natural images
 concentrate these counts on and near the main diagonal; the band-energy
 features below measure that concentration as the share of pairs with
 |i - j| = k. They count |a - b| per band and never build the matrix,
-which only cooccurrence (behind `lsblab glcm`) does. band_features takes
-one image or a stack of rasters of one shape, which it featurizes at once.
+which only cooccurrence (behind `lsblab glcm`) does, and take one image
+or a stack of rasters of one shape, which they featurize at once.
 """
 
 from __future__ import annotations
@@ -48,9 +48,15 @@ def cooccurrence(image: GrayImage, offset: Offset) -> np.ndarray:
     return np.bincount(codes, minlength=256 * 256).astype(np.int64).reshape(256, 256)
 
 
-def _bands(pixels: np.ndarray, offset: Offset) -> np.ndarray:
-    """band_energies of each uint8 raster in the (..., h, w) stack: shape (..., 5)."""
-    a, b = _pairs(pixels, offset)
+def band_energies(images: GrayImage | np.ndarray, offset: Offset) -> np.ndarray:
+    """Fraction of in-bounds pixel pairs with |a - b| = k, for k = 0..4.
+
+    Band k sums the +k and -k diagonals of cooccurrence(image, offset),
+    normalised by the pair count so values compare across image sizes. It
+    counts |a - b| per band instead, so no 256x256 matrix is built. One
+    GrayImage gives shape (5,), a (..., h, w) uint8 stack (..., 5): the same floats.
+    """
+    a, b = _pairs(images.pixels if isinstance(images, GrayImage) else images, offset)
     n = a.shape[-2] * a.shape[-1]
     if n == 0:
         raise ValueError("empty co-occurrence matrix: no in-bounds pixel pairs")
@@ -59,24 +65,12 @@ def _bands(pixels: np.ndarray, offset: Offset) -> np.ndarray:
     return np.stack([(diff == k).sum(axis=-1, dtype=np.int32) for k in range(N_BANDS)], axis=-1) / n
 
 
-def band_energies(image: GrayImage, offset: Offset) -> np.ndarray:
-    """Fraction of in-bounds pixel pairs with |a - b| = k, for k = 0..4.
-
-    Band k sums the +k and -k diagonals of cooccurrence(image, offset),
-    normalised by the pair count so values compare across image sizes. It
-    counts |a - b| per band instead, so no 256x256 matrix is built.
-    """
-    return _bands(image.pixels, offset)
-
-
 def band_features(images: GrayImage | np.ndarray) -> np.ndarray:
-    """Band energies over DEFAULT_OFFSETS, concatenated: 4 offsets x 5 bands.
+    """band_energies over DEFAULT_OFFSETS, concatenated: 4 offsets x 5 bands.
 
-    images is one GrayImage, giving shape (20,), or a (k, h, w) uint8 stack
-    of rasters, giving one row per raster: shape (k, 20), the same floats.
+    images as for band_energies: shape (20,) for one GrayImage, (..., 20) for a stack.
     """
-    pixels = images.pixels if isinstance(images, GrayImage) else images
-    return np.concatenate([_bands(pixels, off) for off in DEFAULT_OFFSETS], axis=-1)
+    return np.concatenate([band_energies(images, off) for off in DEFAULT_OFFSETS], axis=-1)
 
 
 def matrix_to_csv(counts: np.ndarray) -> str:

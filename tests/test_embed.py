@@ -492,9 +492,10 @@ def test_settle_paths_match_reference_on_many_runs(method, traversal):
 
     with mock.patch.object(embed_module, "_runs", spy):
         stego = embed(cover, bits, cfg)
-    starts, greedy = runs[0]
-    assert starts == greedy  # the runs are maximal
-    assert len(starts) > 40  # permuted 121 and 47 runs, raster 52 and 50
+    grid, greedy = runs[0]
+    assert grid.shape == (len(greedy), 1) and grid.dtype == np.int32
+    assert grid[:, 0].tolist() == greedy  # the runs are maximal
+    assert len(greedy) > 40  # permuted 121 and 47 runs, raster 52 and 50
     assert stego.pixels.tolist() == reference_embed(cover, bits, cfg)
 
 
@@ -627,7 +628,8 @@ def test_batch_jobs_sharing_a_coin_seed_settle_as_alone(t):
 def test_batch_runs_are_each_jobs_greedy_runs():
     # smooth covers of four shapes at rate 0.8, raster and permuted: the jobs have
     # from a handful to dozens of runs, so the lockstep search reaches some jobs'
-    # ends many steps before others'. A job without changes sits between them
+    # ends many steps before others'. Jobs without changes sit between them and
+    # last, where a row holds len(at)
     found = []
     real_runs = embed_module._runs
 
@@ -643,21 +645,27 @@ def test_batch_runs_are_each_jobs_greedy_runs():
         framed = frame_bits(Rng(47 + i).bits(int(0.8 * cover.n_pixels) - 32))
         jobs.append(_job(cover, framed, cfg, traversal_order(cover, traversal, cfg.seed)))
     carrier = synthetic_image(8, 8, seed=49)
-    jobs.insert(2, _job(carrier, carrier.pixels.ravel()[:40] & 1, EmbedConfig("lsbm"),
-                        traversal_order(carrier, "raster", 0)))
-    assert len(jobs[2][1]) == 0
+    idle = _job(carrier, carrier.pixels.ravel()[:40] & 1, EmbedConfig("lsbm"),
+                traversal_order(carrier, "raster", 0))
+    assert len(idle[1]) == 0
+    jobs.insert(2, idle)
+    jobs.append(idle)
     with mock.patch.object(embed_module, "_runs", spy):  # conftest's time limit bounds it
         _settle(jobs, 4)
-    (at, fi, around, _, ends), starts = found[0]
-    want, begin = [], 0
+    (at, fi, around, _, ends), grid = found[0]
+    runs, begin = [], 0  # each job's greedy run starts, in at
     for end in ends:
         mine = fi[(fi >= begin) & (fi < end)] - begin
-        want += [begin + s for s in greedy_runs(at[begin:end], mine, around)[:-1]]
+        starts = greedy_runs(at[begin:end], mine, around)[:-1] if end > begin else []
+        runs.append([begin + s for s in starts])
         begin = end
-    want = sorted(set(want)) + [len(at)]
-    per_job = [sum(begin <= s < end for s in want) for begin, end in zip([0] + ends, ends)]
-    assert per_job[2] == 0 and min(per_job[:2] + per_job[3:]) < 10 < max(per_job)
-    assert starts == want
+    assert runs[2] == runs[-1] == [] and ends[-1] == len(at)
+    assert min(map(len, runs[:2] + runs[3:-1])) < 10 < max(map(len, runs))
+    assert grid.dtype == np.int32 and grid.shape == (max(map(len, runs)) + 1, len(jobs))
+    for g, (mine, end) in enumerate(zip(runs, ends)):  # row r: job g's run r start, or its end
+        assert grid[:, g].tolist() == mine + [end] * (len(grid) - len(mine))
+
+
 @given(data=st.data())
 def test_wire_contract_in_stdlib_terms(data):
     # the README's contract: traversal is random.Random(seed).shuffle, coins are

@@ -153,8 +153,9 @@ def test_band_energies_match_matrix_oracle(data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_band_features_of_a_stack_match_matrix_oracle(data):
-    # row j of a stack's features is raster j's matrix diagonals at every default
-    # offset; values run up to both ends of 0..255, so a wrapped uint8 |a - b| shows
+    # row j of a stack's features, and of its band energies at each default offset,
+    # is raster j's matrix diagonals there; values run up to both ends of 0..255,
+    # so a wrapped uint8 |a - b| shows
     w = data.draw(st.integers(1, 12), label="w")
     h = data.draw(st.integers(1, 12), label="h")
     k = data.draw(st.integers(1, 4), label="k")
@@ -166,13 +167,18 @@ def test_band_features_of_a_stack_match_matrix_oracle(data):
         for images in (stack, GrayImage(stack[0])):
             with pytest.raises(ValueError, match="no in-bounds pixel pairs"):
                 band_features(images)
+            with pytest.raises(ValueError, match="no in-bounds pixel pairs"):
+                band_energies(images, (1, 1))
         return
     rows = band_features(stack)
     assert rows.shape == (k, 20)
-    for row, pixels in zip(rows, stack):
+    energies = np.concatenate([band_energies(stack, off) for off in DEFAULT_OFFSETS], axis=-1)
+    assert energies.shape == (k, 20)
+    for row, energy, pixels in zip(rows, energies, stack):
         img = GrayImage(pixels)
         expected = np.concatenate([diagonal_energies(cooccurrence(img, off)) for off in DEFAULT_OFFSETS])
         assert np.array_equal(row, expected)
+        assert np.array_equal(energy, expected)
         assert np.array_equal(band_features(img), expected)
 
 
