@@ -345,24 +345,18 @@ def extract(stego: GrayImage, config: EmbedConfig) -> np.ndarray:
     32-bit frame in both families. The frame is read first and checked
     against the usable pixels (every pixel, or every whole pair); then only
     the framed prefix is read, up to a whole pair, and its payload bits come
-    back as a uint8 array. Raster visits 0..N-1, so its prefix is read in
-    place; permuted gathers the prefix through the shuffled order.
+    back as a uint8 array. Raster visits 0..N-1, so it reads in place;
+    permuted gathers the whole visiting sequence once, in shuffled order.
     """
     pairwise = config.method.startswith("lsbmr")
     flat = stego.pixels.ravel()
     usable = 2 * (len(flat) // 2) if pairwise else len(flat)
-    order = None
     if config.traversal != "raster":
-        order = traversal_order(stego, config.traversal, config.seed)
-
-    def prefix(k: int) -> np.ndarray:
-        """The first k visited values."""
-        return flat[:k] if order is None else flat[order[:k]]
-
-    declared = frame_length(_read(prefix(min(FRAME_BITS, usable)), pairwise))
+        flat = flat[traversal_order(stego, config.traversal, config.seed)]
+    declared = frame_length(_read(flat[:FRAME_BITS], pairwise))
     k = FRAME_BITS + declared
     if k > usable:
         raise FramingError(
             f"declared payload of {declared} bits exceeds the {usable - FRAME_BITS} available"
         )
-    return _read(prefix(k + (k & 1 if pairwise else 0)), pairwise)[FRAME_BITS:k]  # whole pairs
+    return _read(flat[: k + 1], pairwise)[FRAME_BITS:k]  # _read keeps whole pairs

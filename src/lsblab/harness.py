@@ -182,11 +182,11 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
     A null cell reuses the cover features. The train/test split is drawn
     once. The embedding cells that share a _settle threshold settle
     together: chunk by chunk of covers, each chunk's images of all those
-    cells in one batch of at most _CHUNK_PIXELS job pixels, in which an
-    image's cells share one coin draw. Features are taken per batch of
-    stegos and per _chunks(corpus, 1) run of covers, one band_features call
-    per image shape. Same bytes as cell by cell. Nothing is kept between
-    calls.
+    cells in one batch of at most _CHUNK_PIXELS job pixels, read from the
+    chunk's table of plans, built before it settles. An image's cells share
+    one coin draw. Features are taken per batch of stegos and per
+    _chunks(corpus, 1) run of covers, one band_features call per image
+    shape. Same bytes as cell by cell. Nothing is kept between calls.
     """
     if len(corpus) < 20:
         raise ValueError(f"corpus of {len(corpus)} images is too small; need at least 20")
@@ -194,38 +194,33 @@ def benchmark(corpus: Sequence[GrayImage], methods: Sequence[str | None],
         _check_rate(rate)
     EmbedConfig("lsbm", threshold)  # raises for a negative threshold, as an embedding cell would
     cells = [(method, rate) for method in methods for rate in rates]
-    for method, rate in cells:  # in the per-cell order, so the first cell and image to fail raise
-        for image in corpus if method else ():
+    groups: dict[int, list[int]] = {}  # the embedding cells of each _settle threshold
+    plans = set()  # the (rate, pairwise) plans they use
+    for c, (method, rate) in enumerate(cells):  # in the per-cell order: the first to fail raises
+        if method is None:  # null experiment: the "stego" image is the cover itself
+            continue
+        for image in corpus:  # each image's frame, then the method, as embed meets them
             budget = _budget(rate, image.n_pixels)
             _capacity(image, budget, EmbedConfig(method).method.startswith("lsbmr"))
+        groups.setdefault(_threshold(EmbedConfig(method, threshold)), []).append(c)
+        plans.add((rate, method.startswith("lsbmr")))
     cover_x = np.concatenate([_featurize([corpus[i] for i in chunk])
                               for chunk in _chunks(corpus, 1)])
-    stego_x = np.empty((len(cells),) + cover_x.shape)
-    groups: dict[int, list[int]] = {}  # the embedding cells of each _settle threshold
-    for c, (method, rate) in enumerate(cells):
-        if method is None:  # null experiment: the "stego" image is the cover itself
-            stego_x[c] = cover_x
-        else:
-            groups.setdefault(_threshold(EmbedConfig(method, threshold)), []).append(c)
+    stego_x = np.repeat(cover_x[None], len(cells), axis=0)  # a null cell keeps these
     for chunk in _chunks(corpus, max(map(len, groups.values()), default=0)):
-        # per image: its message and order; per image, rate and code family: its plan
-        drawn, jobs = {}, {}
+        table = {}  # (image, rate, pairwise): its plan
+        for i in chunk if plans else ():  # a null-only bench draws nothing
+            image, s = corpus[i], derive_seed(seed, i, _TAG_EMBED)
+            # one draw at the top rate: bits(n) is a prefix of bits(m)
+            message = _message_bits(max(rates), image.n_pixels, derive_seed(seed, i, _TAG_MESSAGE))
+            order = traversal_order(image, "permuted", s)
+            configs = [EmbedConfig(family, threshold, s, "permuted") for family in ("lsbm", "lsbmr")]
+            for rate, pairwise in plans:
+                framed = frame_bits(message[: _budget(rate, image.n_pixels) - FRAME_BITS])
+                table[i, rate, pairwise] = _job(image, framed, configs[pairwise], order)
         for t, group in groups.items():
-            batch = []
-            for method, rate in (cells[c] for c in group):
-                for i in chunk:
-                    key = (i, rate, method.startswith("lsbmr"))
-                    if key not in jobs:
-                        config = EmbedConfig(method, threshold, derive_seed(seed, i, _TAG_EMBED),
-                                             "permuted")
-                        if i not in drawn:  # one draw at the top rate: bits(n) is a prefix of bits(m)
-                            drawn[i] = (_message_bits(max(rates), corpus[i].n_pixels,
-                                                      derive_seed(seed, i, _TAG_MESSAGE)),
-                                        traversal_order(corpus[i], config.traversal, config.seed))
-                        message, order = drawn[i]
-                        framed = frame_bits(message[: _budget(rate, corpus[i].n_pixels) - FRAME_BITS])
-                        jobs[key] = _job(corpus[i], framed, config, order)
-                    batch.append(jobs[key])
+            batch = [table[i, rate, method.startswith("lsbmr")]
+                     for method, rate in (cells[c] for c in group) for i in chunk]
             stego_x[group, chunk.start : chunk.stop] = (
                 _featurize(_settle(batch, t)).reshape(len(group), len(chunk), -1))
     cover_e = _mean_energies(cover_x).mean(axis=0)

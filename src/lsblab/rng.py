@@ -59,8 +59,6 @@ class Rng:
         Slot i is final after its step, so out[i] is the value slot j_i holds
         just before step i; out[0] is what slot 0 holds at the end.
         """
-        if n < 2:
-            return np.arange(n, dtype=np.int32)
         partner = np.zeros(n, dtype="<i8")  # partner[i] = j_i; slot 0 reads itself
         partner[1:] = self._draws(n)[::-1]
         return _apply_swaps(partner)

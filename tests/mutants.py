@@ -10,7 +10,8 @@ again. A mutant is
 - caught: some named test fails, a kill by conftest.py's 30 s alarm included;
 - survived: every named test passes on the edited copy;
 - stale: the old text does not occur exactly once in its file, or the named
-  tests do not all pass on the unedited copy.
+  tests do not all pass on the unedited copy; the line says which, and how
+  many times the old text occurs.
 
 Survived and stale both end the run with exit status 1. Pytest does not
 collect this file. Hypothesis runs with seed 0, so each run draws the same
@@ -40,8 +41,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node IDs, at least one of which must fail
 
 
-EMBED, RNG, CLI, GLCM = (f"src/lsblab/{module}.py" for module in ("embed", "rng", "cli", "glcm"))
-T_EMBED, T_RNG = "tests/test_embed.py::", "tests/test_rng.py::"
+EMBED, RNG, CLI, GLCM, HARNESS = (f"src/lsblab/{module}.py"
+                                  for module in ("embed", "rng", "cli", "glcm", "harness"))
+T_EMBED, T_RNG, T_HARNESS = "tests/test_embed.py::", "tests/test_rng.py::", "tests/test_harness.py::"
 
 MUTANTS = (
     # the settle's pass layout: _runs' lockstep grid, row r is pass r
@@ -82,12 +84,26 @@ MUTANTS = (
     Mutant("batch-ties-numbered-across-jobs", EMBED,
            "np.repeat(nxt - np.cumsum(per_job) + per_job, per_job)",
            "np.repeat(nxt - np.cumsum(per_job), per_job)",
-           ("tests/test_harness.py::"
-            "test_benchmark_matches_per_cell_reference[methods0-rates0-4-1500]",)),
+           (T_HARNESS + "test_benchmark_matches_per_cell_reference[methods0-rates0-4-1500]",)),
+    # the bench's checks and its per-chunk plan table
+    Mutant("bench-plan-reads-the-top-rate-message", HARNESS,
+           "framed = frame_bits(message[: _budget(rate, image.n_pixels) - FRAME_BITS])",
+           "framed = frame_bits(message)",
+           (T_HARNESS + "test_benchmark_matches_per_cell_reference[methods0-rates0-4-1500]",)),
+    Mutant("bench-null-only-still-plans", HARNESS,
+           "for i in chunk if plans else ():",
+           "for i in chunk:",
+           (T_HARNESS + "test_benchmark_shuffles_once_per_image[methods1-rates1-0]",)),
+    Mutant("bench-method-checked-before-the-frame", HARNESS,
+           "            budget = _budget(rate, image.n_pixels)\n"
+           "            _capacity(image, budget, EmbedConfig(method).method.startswith(\"lsbmr\"))",
+           "            pairwise = EmbedConfig(method).method.startswith(\"lsbmr\")\n"
+           "            _capacity(image, _budget(rate, image.n_pixels), pairwise)",
+           (T_HARNESS + "test_benchmark_checks_an_images_frame_before_the_method",)),
     # extract
     Mutant("extract-reads-half-a-pair", EMBED,
-           "prefix(k + (k & 1 if pairwise else 0))",
-           "prefix(k)",
+           "_read(flat[: k + 1], pairwise)",
+           "_read(flat[:k], pairwise)",
            (T_EMBED + "test_extract_reads_the_framed_prefix_at_the_edges[odd-35-lsbmr-raster]",)),
     Mutant("extract-counts-an-odd-pixel-for-lsbmr", EMBED,
            "usable = 2 * (len(flat) // 2) if pairwise else len(flat)",
@@ -132,8 +148,8 @@ def passes(copy: Path, tests: tuple[str, ...]) -> bool:
                           stderr=subprocess.DEVNULL).returncode == 0
 
 
-def verdict(mutant: Mutant) -> str:
-    """caught, survived or stale (see the module docstring)."""
+def verdict(mutant: Mutant) -> tuple[str, str]:
+    """caught, survived or stale (see the module docstring), and why it is stale."""
     with tempfile.TemporaryDirectory(prefix="lsblab-mutant-") as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):
@@ -142,10 +158,13 @@ def verdict(mutant: Mutant) -> str:
         shutil.copy(ROOT / "pyproject.toml", copy)
         target = copy / mutant.file
         text = target.read_text(encoding="utf-8")
-        if text.count(mutant.old) != 1 or not passes(copy, mutant.tests):
-            return "stale"
+        count = text.count(mutant.old)
+        if count != 1:
+            return "stale", f"the old text occurs {count} times"
+        if not passes(copy, mutant.tests):
+            return "stale", "the named tests fail on the unedited copy"
         target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-        return "survived" if passes(copy, mutant.tests) else "caught"
+        return ("survived" if passes(copy, mutant.tests) else "caught"), ""
 
 
 def main(names: list[str]) -> int:
@@ -157,9 +176,10 @@ def main(names: list[str]) -> int:
     chosen, start, failed = [known[name] for name in names] or MUTANTS, time.perf_counter(), 0
     for mutant in chosen:
         began = time.perf_counter()
-        result = verdict(mutant)
+        result, why = verdict(mutant)
         failed += result != "caught"
-        print(f"{result:9} {mutant.name} ({time.perf_counter() - began:.1f} s)", flush=True)
+        print(f"{result:9} {mutant.name} ({time.perf_counter() - began:.1f} s)"
+              + (f": {why}" if why else ""), flush=True)
     print(f"{len(chosen) - failed} caught, {failed} survived or stale, "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if failed else 0

@@ -288,11 +288,24 @@ def test_benchmark_capacity_error_in_a_later_chunk_matches_per_cell_reference(mo
 
 
 def test_benchmark_unknown_method_raises_before_a_later_cells_capacity_error():
-    # the first cell's EmbedConfig error, though cover 1 cannot carry lsbmr at rate 1.0
+    # the first cell's EmbedConfig error, though cover 1 cannot carry lsbmr at rate 1.0;
+    # an empty name is an unknown method too, not a null cell
     corpus = mixed_corpus(21)
+    for method in ("lsbx", ""):
+        for run in (benchmark, reference_benchmark):
+            with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+                run(corpus, [method, "lsbmr"], [1.0], 4, 22)
+
+
+def test_benchmark_checks_an_images_frame_before_the_method():
+    # per image, the message's frame is checked before the method is looked up
+    corpus = synthetic_corpus(20, 16, 16, seed=27)
+    errors = []
     for run in (benchmark, reference_benchmark):
-        with pytest.raises(ValueError, match="unknown method 'lsbx'"):
-            run(corpus, ["lsbx", "lsbmr"], [1.0], 4, 22)
+        with pytest.raises(CapacityError) as info:
+            run(corpus, ["lsbx"], [0.01], 4, 28)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == "rate 0.01 on 256 pixels leaves no room for the 32-bit frame"
 
 
 @pytest.mark.parametrize("methods, rates, non_null_cells", [

@@ -72,7 +72,7 @@ def stdlib_order(seed, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.one_of(st.integers(1, 20_000), st.sampled_from(EDGE_SIZES)), seed=SEEDS)
+@given(n=st.one_of(st.integers(0, 20_000), st.sampled_from(EDGE_SIZES)), seed=SEEDS)
 def test_shuffle_matches_stdlib(n, seed):
     order = Rng(seed).shuffle(n)
     assert order.dtype == np.int32
@@ -118,7 +118,7 @@ class WordCounter(random.Random):
         return super().getrandbits(k)
 
 
-@pytest.mark.parametrize("n", [1, 2, 256, 257, 258, 259, 300, 1025, 1026, 1027, 1300, 2048,
+@pytest.mark.parametrize("n", [0, 1, 2, 256, 257, 258, 259, 300, 1025, 1026, 1027, 1300, 2048,
                                2049, 4096, 4097, 4098, 4353, 4354, 8193, 10_000, 2**14 + 3,
                                2**15 + 300, 65_536])
 def test_shuffle_reads_only_the_words_the_stdlib_reads(n):
